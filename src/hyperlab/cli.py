@@ -132,19 +132,11 @@ def _parse_subset(a: HyperStructure, raw: str, parser: argparse.ArgumentParser):
     return a.subset([a.index_of(name) for name in names])
 
 
-def _verdict_payload(key: str, verdict: Verdict, a: HyperStructure,
-                     lattice) -> dict:
-    counterexample = None
-    if verdict.counterexample is not None:
-        if key == "strongly-weakly-s-prime":
-            counterexample = [lattice[i].render(a.names)
-                              for i in verdict.counterexample]
-        else:
-            counterexample = [a.names[i] for i in verdict.counterexample]
+def _verdict_payload(verdict: Verdict, a: HyperStructure) -> dict:
     return {
         "holds": verdict.holds,
         "witnessS": None if verdict.witness_s is None else a.names[verdict.witness_s],
-        "counterexample": counterexample,
+        "counterexample": verdict.counterexample_names(a.names),
         "note": verdict.note,
     }
 
@@ -192,24 +184,14 @@ def cmd_classify(args, parser) -> int:
             "structure": a.label,
             "ideal": [a.names[i] for i in q],
             "multSet": [a.names[i] for i in s],
-            "record": {key: _verdict_payload(key, record[key], a, lattice)
-                       for key in CLASSIFY_KEYS},
+            "record": {key: _verdict_payload(verdict, a)
+                       for key, verdict in record.items()},
         })
     else:
         print(f"{a.label or 'structure'}: Q={q.render(a.names)} "
               f"S={s.render(a.names)}")
-        for key in CLASSIFY_KEYS:
-            verdict = record[key]
-            if key == "strongly-weakly-s-prime" and verdict.counterexample:
-                sets = ",".join(lattice[i].render(a.names)
-                                for i in verdict.counterexample)
-                line = ("false" if verdict.holds is False else "true")
-                line += f" counterexample=({sets})"
-                if verdict.note:
-                    line += f" ({verdict.note})"
-                print(f"  {key}: {line}")
-            else:
-                print(f"  {key}: {verdict.render(a.names)}")
+        for key, verdict in record.items():
+            print(f"  {key}: {verdict.render(a.names)}")
     return 0
 
 

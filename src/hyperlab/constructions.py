@@ -68,18 +68,13 @@ def product(a1: HyperStructure, a2: HyperStructure, validate: bool = True,
 
 def product_ideal(a1: HyperStructure, a2: HyperStructure,
                   q1: ElementSet, q2: ElementSet) -> ElementSet:
-    """Q1 x Q2 as a subset of the product carrier."""
+    """Q1 x Q2 as a subset of the product carrier (also S1 x S2 for
+    multiplicative sets)."""
     mask = 0
     for x in q1:
         for y in q2:
             mask |= 1 << (x * a2.size + y)
     return ElementSet(mask, a1.size * a2.size)
-
-
-def product_mult_set(a1: HyperStructure, a2: HyperStructure,
-                     s1: ElementSet, s2: ElementSet) -> ElementSet:
-    """S1 x S2 as a subset of the product carrier."""
-    return product_ideal(a1, a2, s1, s2)
 
 
 @dataclass(frozen=True)

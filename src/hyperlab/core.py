@@ -12,6 +12,7 @@ Carriers are capped at 64 elements and subsets are stored as bitmasks.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -210,7 +211,7 @@ def _normalize_table(entries: Mapping[Sequence[int], object], arity: int, size: 
         else:
             seen[canon] = (key, value)
     table = {canon: value for canon, (_, value) in seen.items()}
-    expected = sum(1 for _ in multisets(size, arity))
+    expected = math.comb(size + arity - 1, arity)
     if len(table) != expected:
         missing = next(ms for ms in multisets(size, arity) if ms not in table)
         raise TableError(f"{what} table is not total: no entry for multiset {missing}")

@@ -15,6 +15,13 @@ replaying the full validity check) and DISCREPANCY (records the known
 defects of non-canonical fixtures; these stay SKIPPED so a clean corpus
 report contains no COUNTEREXAMPLE rows).
 
+A statement is one row of ``STATEMENTS``: its id, an instance generator
+(corpus -> (description, payload) pairs, shared between statements that
+range over the same instances) and an evaluator that takes the payload as
+keyword arguments and returns (status, reason, certificate).  Adding a
+statement means writing its evaluator and adding one row; a new generator
+is needed only when no existing one yields the instances it ranges over.
+
 Instance generation is fully deterministic: no sampling, no clocks, and
 JSON reports are byte-identical across runs.
 """
@@ -35,7 +42,6 @@ from .constructions import (
     preimage_ideal,
     product,
     product_ideal,
-    product_mult_set,
     substructure,
 )
 from .core import ElementSet, HyperStructure, graded_multisets, multiset_splits
@@ -76,8 +82,6 @@ DEFAULT_CORPUS = (
     "ring:Z2xZ3",
     "ring:Z4xZ3",
 )
-
-PROPERTY_IDS = tuple(f"P{i}" for i in range(1, 20))
 
 VERIFIED = "VERIFIED"
 COUNTEREXAMPLE = "COUNTEREXAMPLE"
@@ -170,8 +174,13 @@ def _bool_by_convention(fn, *args, **kwargs) -> bool:
         return False
 
 
-def _instance(pid: str, description: str, **payload) -> Instance:
-    return Instance(pid, description, payload)
+def _outcome(ok: bool, failure: str, cert):
+    """VERIFIED when the claimed conclusion holds, else COUNTEREXAMPLE."""
+    return (VERIFIED, "", cert) if ok else (COUNTEREXAMPLE, failure, cert)
+
+
+def _usable(corpus):
+    return (ctx for ctx in corpus if ctx.usable)
 
 
 def _qs_pairs(ctx: StructureContext):
@@ -191,72 +200,96 @@ def _zero_radical(ctx: StructureContext) -> ElementSet:
     return radical(a, a.zero_set(), ctx.lattice)
 
 
+# ------------------------------------------------------ shared generators
+
+def _gen_qs(corpus):
+    """Every disjoint (Q, S) pair of every usable structure."""
+    for ctx in _usable(corpus):
+        a = ctx.structure
+        for q, s in _qs_pairs(ctx):
+            yield (f"{ctx.name}: Q={_render(a, q)} S={_render(a, s)}",
+                   dict(ctx=ctx, q=q, s=s))
+
+
+def _gen_q_without_one(corpus):
+    """Every proper Q missing the identity, for statements with S = {1}."""
+    for ctx in _usable(corpus):
+        a = ctx.structure
+        if a.one is None:
+            continue
+        for q in ctx.lattice.proper():
+            if a.one in q:
+                continue
+            yield f"{ctx.name}: Q={_render(a, q)}", dict(ctx=ctx, q=q)
+
+
+def _strongly_weakly_only(ctx, q, s, budget, reasons) -> str:
+    """Why Q lacks "strongly weakly S-prime, but not S-prime": reasons[0]
+    when it is not strongly weakly S-prime, reasons[1] when it is S-prime,
+    "" when the hypothesis holds.  s None means S = {1}, where the
+    baseline is plain primality."""
+    a = ctx.structure
+    unit = s is None
+    if unit:
+        s = ElementSet.single(a.one, a.size)
+    if not is_strongly_weakly_s_prime(a, q, s, ctx.lattice, budget).holds:
+        return reasons[0]
+    if (is_prime(a, q) if unit else is_s_prime(a, q, s)).holds:
+        return reasons[1]
+    return ""
+
+
+_S_REASONS = ("Q is not strongly weakly S-prime",
+              "Q is S-prime, hypothesis needs the failure")
+_UNIT_REASONS = ("Q is not strongly weakly prime (S = {1})",
+                 "Q is prime, hypothesis needs the failure")
+
+
 # ---------------------------------------------------------------- P1 .. P5
 
 def _gen_p1(corpus):
-    for ctx in corpus:
-        if not ctx.usable:
-            continue
+    for ctx in _usable(corpus):
         a = ctx.structure
         for q, s in _qs_pairs(ctx):
             meeting = [i for i, p in enumerate(ctx.lattice.sets) if p & s]
             for js in combinations_with_replacement(meeting, a.n - 1):
                 desc = (f"{ctx.name}: Q={_render(a, q)} S={_render(a, s)} "
                         f"ideals={[_render(a, ctx.lattice[j]) for j in js]}")
-                yield _instance("P1", desc, ctx=ctx, q=q, s=s, js=js)
+                yield desc, dict(ctx=ctx, q=q, s=s, js=js)
 
 
-def _eval_p1(payload):
-    ctx, q, s, js = payload["ctx"], payload["q"], payload["s"], payload["js"]
+def _eval_p1(ctx, q, s, js, budget=None):
     a = ctx.structure
     if not is_weakly_s_prime(a, q, s).holds:
         return SKIPPED, "Q is not weakly S-prime", None
     image = a.eval_g_on_sets([ctx.lattice[j] for j in js] + [q])
     ok = _bool_by_convention(is_weakly_s_prime, a, image, s)
     cert = {"image": _render(a, image)}
-    if ok:
-        return VERIFIED, "", cert
-    return COUNTEREXAMPLE, "product set lost weak S-primeness", cert
+    return _outcome(ok, "product set lost weak S-primeness", cert)
 
 
 def _gen_p2(corpus):
-    for ctx in corpus:
-        if not ctx.usable:
-            continue
+    for ctx in _usable(corpus):
         a = ctx.structure
         for q, s in _qs_pairs(ctx):
             for p in ctx.lattice.sets:
                 if p & s:
                     desc = (f"{ctx.name}: Q={_render(a, q)} S={_render(a, s)} "
                             f"P={_render(a, p)}")
-                    yield _instance("P2", desc, ctx=ctx, q=q, s=s, p=p)
+                    yield desc, dict(ctx=ctx, q=q, s=s, p=p)
 
 
-def _eval_p2(payload):
-    ctx, q, s, p = payload["ctx"], payload["q"], payload["s"], payload["p"]
+def _eval_p2(ctx, q, s, p, budget=None):
     a = ctx.structure
     if not is_weakly_s_prime(a, q, s).holds:
         return SKIPPED, "Q is not weakly S-prime", None
     meet = q & p
     ok = _bool_by_convention(is_weakly_s_prime, a, meet, s)
     cert = {"intersection": _render(a, meet)}
-    if ok:
-        return VERIFIED, "", cert
-    return COUNTEREXAMPLE, "intersection lost weak S-primeness", cert
+    return _outcome(ok, "intersection lost weak S-primeness", cert)
 
 
-def _gen_p3(corpus):
-    for ctx in corpus:
-        if not ctx.usable:
-            continue
-        a = ctx.structure
-        for q, s in _qs_pairs(ctx):
-            desc = f"{ctx.name}: Q={_render(a, q)} S={_render(a, s)}"
-            yield _instance("P3", desc, ctx=ctx, q=q, s=s)
-
-
-def _eval_p3(payload):
-    ctx, q, s = payload["ctx"], payload["q"], payload["s"]
+def _eval_p3(ctx, q, s, budget=None):
     a = ctx.structure
     chosen = None
     for cand in s:
@@ -278,43 +311,28 @@ def _eval_p3(payload):
 
 
 def _gen_p4(corpus):
-    for ctx in corpus:
-        if not ctx.usable:
-            continue
+    for ctx in _usable(corpus):
         for s in ctx.mult_sets:
-            desc = f"{ctx.name}: S={_render(ctx.structure, s)}"
-            yield _instance("P4", desc, ctx=ctx, s=s)
+            yield f"{ctx.name}: S={_render(ctx.structure, s)}", dict(ctx=ctx, s=s)
 
 
-def _eval_p4(payload):
-    ctx, s = payload["ctx"], payload["s"]
+def _eval_p4(ctx, s, budget=None):
     a = ctx.structure
     disjoint = [q for q in ctx.lattice.proper() if not (q & s)]
 
-    def all_weakly_are_prime() -> bool:
-        for q in disjoint:
-            if is_weakly_s_prime(a, q, s).holds and not is_prime(a, q).holds:
-                return False
-        return True
+    def collapses(predicate) -> bool:
+        # every Q with the S-property is prime
+        return all(is_prime(a, q).holds for q in disjoint
+                   if predicate(a, q, s).holds)
 
-    def all_s_prime_are_prime() -> bool:
-        for q in disjoint:
-            if is_s_prime(a, q, s).holds and not is_prime(a, q).holds:
-                return False
-        return True
-
-    lhs = all_weakly_are_prime()
-    rhs = is_hyperintegral_domain(a).holds and all_s_prime_are_prime()
+    lhs = collapses(is_weakly_s_prime)
+    rhs = is_hyperintegral_domain(a).holds and collapses(is_s_prime)
     cert = {"collapse": lhs, "domain_and_collapse": rhs}
-    if lhs == rhs:
-        return VERIFIED, "", cert
-    return COUNTEREXAMPLE, "equivalence fails for this (A, S)", cert
+    return _outcome(lhs == rhs, "equivalence fails for this (A, S)", cert)
 
 
 def _gen_p5(corpus):
-    for ctx in corpus:
-        if not ctx.usable:
-            continue
+    for ctx in _usable(corpus):
         a = ctx.structure
         for s in ctx.mult_sets:
             for t in ctx.mult_sets:
@@ -325,7 +343,7 @@ def _gen_p5(corpus):
                         continue
                     desc = (f"{ctx.name}: S={_render(a, s)} T={_render(a, t)} "
                             f"Q={_render(a, q)}")
-                    yield _instance("P5", desc, ctx=ctx, s=s, t=t, q=q)
+                    yield desc, dict(ctx=ctx, s=s, t=t, q=q)
 
 
 def _transfer_condition(a: HyperStructure, s: ElementSet, t: ElementSet) -> bool:
@@ -336,8 +354,7 @@ def _transfer_condition(a: HyperStructure, s: ElementSet, t: ElementSet) -> bool
     return True
 
 
-def _eval_p5(payload):
-    ctx, s, t, q = payload["ctx"], payload["s"], payload["t"], payload["q"]
+def _eval_p5(ctx, s, t, q, budget=None):
     a = ctx.structure
     if not _transfer_condition(a, s, t):
         return SKIPPED, "power-partner condition between S and T fails", None
@@ -352,18 +369,7 @@ def _eval_p5(payload):
 
 # --------------------------------------------------------------- P6 .. P14
 
-def _gen_p6(corpus):
-    for ctx in corpus:
-        if not ctx.usable:
-            continue
-        a = ctx.structure
-        for q, s in _qs_pairs(ctx):
-            desc = f"{ctx.name}: Q={_render(a, q)} S={_render(a, s)}"
-            yield _instance("P6", desc, ctx=ctx, q=q, s=s)
-
-
-def _eval_p6(payload):
-    ctx, q, s = payload["ctx"], payload["q"], payload["s"]
+def _eval_p6(ctx, q, s, budget=None):
     a = ctx.structure
     zero_mask = 1 << a.zero
     associated = [cand for cand in s
@@ -396,44 +402,20 @@ def _eval_p6(payload):
     return VERIFIED, "", {"tuples_checked": checked}
 
 
-def _gen_p7(corpus):
-    for ctx in corpus:
-        if not ctx.usable:
-            continue
-        a = ctx.structure
-        for q, s in _qs_pairs(ctx):
-            desc = f"{ctx.name}: Q={_render(a, q)} S={_render(a, s)}"
-            yield _instance("P7", desc, ctx=ctx, q=q, s=s)
-
-
-def _eval_p7(payload):
-    ctx, q, s = payload["ctx"], payload["q"], payload["s"]
+def _eval_power_zero(ctx, q, s=None, budget=None):
+    """P7 (S given) and P9 (S = {1}): the n-th power of Q is zero."""
+    gap = _strongly_weakly_only(ctx, q, s, budget,
+                                _UNIT_REASONS if s is None else _S_REASONS)
+    if gap:
+        return SKIPPED, gap, None
     a = ctx.structure
-    budget = payload.get("budget")
-    if not is_strongly_weakly_s_prime(a, q, s, ctx.lattice, budget).holds:
-        return SKIPPED, "Q is not strongly weakly S-prime", None
-    if is_s_prime(a, q, s).holds:
-        return SKIPPED, "Q is S-prime, hypothesis needs the failure", None
     image = set_product(a, [q] * a.n)
     cert = {"power_image": _render(a, image)}
-    if image.mask == 1 << a.zero:
-        return VERIFIED, "", cert
-    return COUNTEREXAMPLE, "n-th power of Q is not zero", cert
+    return _outcome(image.mask == 1 << a.zero, "n-th power of Q is not zero", cert)
 
 
-def _gen_p8(corpus):
-    yield from _relabel(_gen_p7(corpus), "P8")
-
-
-def _relabel(instances, pid):
-    for inst in instances:
-        yield Instance(pid, inst.description, inst.payload)
-
-
-def _eval_p8(payload):
-    ctx, q, s = payload["ctx"], payload["q"], payload["s"]
+def _eval_p8(ctx, q, s, budget=None):
     a = ctx.structure
-    budget = payload.get("budget")
     if not is_strongly_weakly_s_prime(a, q, s, ctx.lattice, budget).holds:
         return SKIPPED, "Q is not strongly weakly S-prime", None
     rad0 = _zero_radical(ctx)
@@ -448,68 +430,20 @@ def _eval_p8(payload):
         "rad0": _render(a, rad0)}
 
 
-def _gen_p9(corpus):
-    for ctx in corpus:
-        if not ctx.usable or ctx.structure.one is None:
-            continue
-        a = ctx.structure
-        for q in ctx.lattice.proper():
-            if a.one in q:
-                continue
-            desc = f"{ctx.name}: Q={_render(a, q)}"
-            yield _instance("P9", desc, ctx=ctx, q=q)
-
-
-def _eval_p9(payload):
-    ctx, q = payload["ctx"], payload["q"]
+def _eval_p10(ctx, q, s, budget=None):
     a = ctx.structure
-    unit = ElementSet.single(a.one, a.size)
-    if not is_strongly_weakly_s_prime(a, q, unit, ctx.lattice,
-                                      payload.get("budget")).holds:
-        return SKIPPED, "Q is not strongly weakly prime (S = {1})", None
-    if is_prime(a, q).holds:
-        return SKIPPED, "Q is prime, hypothesis needs the failure", None
-    image = set_product(a, [q] * a.n)
-    cert = {"power_image": _render(a, image)}
-    if image.mask == 1 << a.zero:
-        return VERIFIED, "", cert
-    return COUNTEREXAMPLE, "n-th power of Q is not zero", cert
-
-
-def _gen_p10(corpus):
-    yield from _relabel(_gen_p7(corpus), "P10")
-
-
-def _eval_p10(payload):
-    ctx, q, s = payload["ctx"], payload["q"], payload["s"]
-    a = ctx.structure
-    direct = is_strongly_weakly_s_prime(a, q, s, ctx.lattice,
-                                        payload.get("budget"))
+    direct = is_strongly_weakly_s_prime(a, q, s, ctx.lattice, budget)
     via_colon = is_strongly_weakly_s_prime_colon(a, q, s)
     cert = {"direct": bool(direct.holds), "colon": bool(via_colon.holds)}
-    if bool(direct.holds) == bool(via_colon.holds):
-        return VERIFIED, "", cert
-    return COUNTEREXAMPLE, "direct and colon routes disagree", cert
+    return _outcome(bool(direct.holds) == bool(via_colon.holds),
+                    "direct and colon routes disagree", cert)
 
 
-def _gen_p11(corpus):
-    for ctx in corpus:
-        if not ctx.usable or ctx.structure.one is None:
-            continue
-        a = ctx.structure
-        for q in ctx.lattice.proper():
-            if a.one in q:
-                continue
-            desc = f"{ctx.name}: Q={_render(a, q)}"
-            yield _instance("P11", desc, ctx=ctx, q=q)
-
-
-def _eval_p11(payload):
-    ctx, q = payload["ctx"], payload["q"]
+def _eval_p11(ctx, q, budget=None):
     a = ctx.structure
     unit = ElementSet.single(a.one, a.size)
     direct = bool(is_strongly_weakly_s_prime(a, q, unit, ctx.lattice,
-                                             payload.get("budget")).holds)
+                                             budget).holds)
     by_equality = True
     by_inclusion = True
     for x in range(a.size):
@@ -525,23 +459,15 @@ def _eval_p11(payload):
             by_inclusion = False
     cert = {"direct": direct, "colon_equality": by_equality,
             "colon_inclusion": by_inclusion}
-    if direct == by_equality == by_inclusion:
-        return VERIFIED, "", cert
-    return COUNTEREXAMPLE, "colon characterization disagrees", cert
+    return _outcome(direct == by_equality == by_inclusion,
+                    "colon characterization disagrees", cert)
 
 
-def _gen_p12(corpus):
-    yield from _relabel(_gen_p7(corpus), "P12")
-
-
-def _eval_p12(payload):
-    ctx, q, s = payload["ctx"], payload["q"], payload["s"]
+def _eval_p12(ctx, q, s, budget=None):
+    gap = _strongly_weakly_only(ctx, q, s, budget, _S_REASONS)
+    if gap:
+        return SKIPPED, gap, None
     a = ctx.structure
-    budget = payload.get("budget")
-    if not is_strongly_weakly_s_prime(a, q, s, ctx.lattice, budget).holds:
-        return SKIPPED, "Q is not strongly weakly S-prime", None
-    if is_s_prime(a, q, s).holds:
-        return SKIPPED, "Q is S-prime, hypothesis needs the failure", None
     rad0 = _zero_radical(ctx)
     zero_mask = 1 << a.zero
     for cand in s:
@@ -555,9 +481,7 @@ def _eval_p12(payload):
 
 
 def _gen_p13(corpus):
-    for ctx in corpus:
-        if not ctx.usable:
-            continue
+    for ctx in _usable(corpus):
         a = ctx.structure
         proper = list(ctx.lattice.proper())
         for i, q1 in enumerate(proper):
@@ -567,18 +491,19 @@ def _gen_p13(corpus):
                         continue
                     desc = (f"{ctx.name}: Q1={_render(a, q1)} "
                             f"Q2={_render(a, q2)} S={_render(a, s)}")
-                    yield _instance("P13", desc, ctx=ctx, q1=q1, q2=q2, s=s)
+                    yield desc, dict(ctx=ctx, q1=q1, q2=q2, s=s)
 
 
-def _eval_p13(payload):
-    ctx, q1, q2, s = payload["ctx"], payload["q1"], payload["q2"], payload["s"]
-    a = ctx.structure
-    budget = payload.get("budget")
+_PAIR_REASONS = ("an ideal is not strongly weakly S-prime",
+                 "an ideal is S-prime, hypothesis needs failures")
+
+
+def _eval_p13(ctx, q1, q2, s, budget=None):
     for q in (q1, q2):
-        if not is_strongly_weakly_s_prime(a, q, s, ctx.lattice, budget).holds:
-            return SKIPPED, "an ideal is not strongly weakly S-prime", None
-        if is_s_prime(a, q, s).holds:
-            return SKIPPED, "an ideal is S-prime, hypothesis needs failures", None
+        gap = _strongly_weakly_only(ctx, q, s, budget, _PAIR_REASONS)
+        if gap:
+            return SKIPPED, gap, None
+    a = ctx.structure
     zero_mask = 1 << a.zero
     for cand in s:
         first = a.eval_g_on_sets([scaled_set(a, cand, q1)] + [q2] * (a.n - 1))
@@ -588,25 +513,15 @@ def _eval_p13(payload):
     return COUNTEREXAMPLE, "no shared s kills both mixed products", None
 
 
-def _gen_p14(corpus):
-    yield from _relabel(_gen_p9(corpus), "P14")
-
-
-def _eval_p14(payload):
-    ctx, q = payload["ctx"], payload["q"]
+def _eval_p14(ctx, q, budget=None):
+    gap = _strongly_weakly_only(ctx, q, None, budget, _UNIT_REASONS)
+    if gap:
+        return SKIPPED, gap, None
     a = ctx.structure
-    unit = ElementSet.single(a.one, a.size)
-    if not is_strongly_weakly_s_prime(a, q, unit, ctx.lattice,
-                                      payload.get("budget")).holds:
-        return SKIPPED, "Q is not strongly weakly prime (S = {1})", None
-    if is_prime(a, q).holds:
-        return SKIPPED, "Q is prime, hypothesis needs the failure", None
     rad0 = _zero_radical(ctx)
     image = a.eval_g_on_sets([rad0] + [q] * (a.n - 1))
     cert = {"rad0": _render(a, rad0), "image": _render(a, image)}
-    if image.mask == 1 << a.zero:
-        return VERIFIED, "", cert
-    return COUNTEREXAMPLE, "rad(0)*Q^(n-1) is not zero", cert
+    return _outcome(image.mask == 1 << a.zero, "rad(0)*Q^(n-1) is not zero", cert)
 
 
 # -------------------------------------------------------------- P15 .. P19
@@ -614,10 +529,9 @@ def _eval_p14(payload):
 def _corpus_homomorphisms(corpus):
     by_name = {ctx.name: ctx for ctx in corpus}
     homs = []
-    for ctx in corpus:
-        if ctx.usable:
-            homs.append(("identity on " + ctx.name,
-                         identity_homomorphism(ctx.structure), ctx, ctx))
+    for ctx in _usable(corpus):
+        homs.append(("identity on " + ctx.name,
+                     identity_homomorphism(ctx.structure), ctx, ctx))
     for j, k in ((2, 3), (4, 3)):
         src_name, tgt_name = f"ring:Z{j * k}", f"ring:Z{j}xZ{k}"
         src, tgt = by_name.get(src_name), by_name.get(tgt_name)
@@ -637,13 +551,10 @@ def _gen_p15(corpus):
                     continue
                 desc = (f"{label}: S={_render(a1, s)} "
                         f"Q2={_render(a2, q2)}")
-                yield _instance("P15", desc, hom=hom, src=src, tgt=tgt,
-                                s=s, q2=q2)
+                yield desc, dict(hom=hom, s=s, q2=q2)
 
 
-def _eval_p15(payload):
-    hom, src, tgt = payload["hom"], payload["src"], payload["tgt"]
-    s, q2 = payload["s"], payload["q2"]
+def _eval_p15(hom, s, q2, budget=None):
     a1, a2 = hom.source, hom.target
     if not hom.is_homomorphism() or not hom.is_injective():
         return SKIPPED, "map is not an embedding", None
@@ -653,15 +564,11 @@ def _eval_p15(payload):
     pre = preimage_ideal(hom, q2)
     ok = _bool_by_convention(is_weakly_s_prime, a1, pre, s)
     cert = {"preimage": _render(a1, pre)}
-    if ok:
-        return VERIFIED, "", cert
-    return COUNTEREXAMPLE, "preimage lost weak S-primeness", cert
+    return _outcome(ok, "preimage lost weak S-primeness", cert)
 
 
 def _gen_p16(corpus):
-    for ctx in corpus:
-        if not ctx.usable:
-            continue
+    for ctx in _usable(corpus):
         a = ctx.structure
         zero_mask = 1 << a.zero
         for c in ctx.lattice.proper():
@@ -676,22 +583,18 @@ def _gen_p16(corpus):
                         continue
                     desc = (f"{ctx.name}: C={_render(a, c)} "
                             f"S={s_sub.render(sub.names)} Q={_render(a, q2)}")
-                    yield _instance("P16", desc, ctx=ctx, sub=sub, incl=incl,
-                                    s_sub=s_sub, s_par=s_par, q2=q2)
+                    yield desc, dict(ctx=ctx, sub=sub, incl=incl,
+                                     s_sub=s_sub, s_par=s_par, q2=q2)
 
 
-def _eval_p16(payload):
-    ctx, sub, incl = payload["ctx"], payload["sub"], payload["incl"]
-    s_sub, s_par, q2 = payload["s_sub"], payload["s_par"], payload["q2"]
+def _eval_p16(ctx, sub, incl, s_sub, s_par, q2, budget=None):
     a = ctx.structure
     if not is_weakly_s_prime(a, q2, s_par).holds:
         return SKIPPED, "ideal is not weakly S-prime in the big structure", None
     meet = preimage_ideal(incl, q2)
     ok = _bool_by_convention(is_weakly_s_prime, sub, meet, s_sub)
     cert = {"restricted": meet.render(sub.names)}
-    if ok:
-        return VERIFIED, "", cert
-    return COUNTEREXAMPLE, "restriction lost weak S-primeness", cert
+    return _outcome(ok, "restriction lost weak S-primeness", cert)
 
 
 def _product_inputs(ctx):
@@ -700,13 +603,18 @@ def _product_inputs(ctx):
     return f1, f2
 
 
-def _gen_p17(corpus):
-    for ctx in corpus:
-        if not ctx.usable or not ctx.fixture.factors:
+def _usable_products(corpus):
+    """(ctx, f1, f2) for each usable product structure with usable factors."""
+    for ctx in _usable(corpus):
+        if not ctx.fixture.factors:
             continue
         f1, f2 = _product_inputs(ctx)
-        if not (f1.usable and f2.usable):
-            continue
+        if f1.usable and f2.usable:
+            yield ctx, f1, f2
+
+
+def _gen_p17(corpus):
+    for ctx, f1, f2 in _usable_products(corpus):
         a1, a2 = f1.structure, f2.structure
         for q1 in _nonzero_ideals(f1.lattice):
             for q2 in _nonzero_ideals(f2.lattice):
@@ -715,17 +623,14 @@ def _gen_p17(corpus):
                         desc = (f"{ctx.name}: Q1={_render(a1, q1)} "
                                 f"S1={_render(a1, s1)} Q2={_render(a2, q2)} "
                                 f"S2={_render(a2, s2)}")
-                        yield _instance("P17", desc, ctx=ctx, f1=f1, f2=f2,
-                                        q1=q1, q2=q2, s1=s1, s2=s2)
+                        yield desc, dict(ctx=ctx, f1=f1, f2=f2,
+                                         q1=q1, q2=q2, s1=s1, s2=s2)
 
 
-def _eval_p17(payload):
-    ctx, f1, f2 = payload["ctx"], payload["f1"], payload["f2"]
-    q1, q2, s1, s2 = (payload["q1"], payload["q2"],
-                      payload["s1"], payload["s2"])
+def _eval_p17(ctx, f1, f2, q1, q2, s1, s2, budget=None):
     a, a1, a2 = ctx.structure, f1.structure, f2.structure
     big_q = product_ideal(a1, a2, q1, q2)
-    big_s = product_mult_set(a1, a2, s1, s2)
+    big_s = product_ideal(a1, a2, s1, s2)
     weakly = _bool_by_convention(is_weakly_s_prime, a, big_q, big_s)
     plain = _bool_by_convention(is_s_prime, a, big_q, big_s)
     left = (_bool_by_convention(is_s_prime, a1, q1, s1)
@@ -734,9 +639,8 @@ def _eval_p17(payload):
              and bool(q1 & s1))
     split = left or right
     cert = {"weakly": weakly, "split": split, "plain": plain}
-    if weakly == split == plain:
-        return VERIFIED, "", cert
-    return COUNTEREXAMPLE, "three product characterizations disagree", cert
+    return _outcome(weakly == split == plain,
+                    "three product characterizations disagree", cert)
 
 
 _triple_cache: dict[str, tuple] = {}
@@ -752,12 +656,7 @@ def _triple_for(ctx):
 
 
 def _gen_p18(corpus):
-    for ctx in corpus:
-        if not ctx.usable or not ctx.fixture.factors:
-            continue
-        f1, f2 = _product_inputs(ctx)
-        if not (f1.usable and f2.usable):
-            continue
+    for ctx, f1, f2 in _usable_products(corpus):
         a1, a2 = f1.structure, f2.structure
         factors = (f1, f2, f1)
         ideal_choices = [_nonzero_ideals(fc.lattice) for fc in factors]
@@ -772,21 +671,19 @@ def _gen_p18(corpus):
                                         f"{_render(a1, q3)}) "
                                         f"S=({_render(a1, s1)},{_render(a2, s2)},"
                                         f"{_render(a1, s3)})")
-                                yield _instance(
-                                    "P18", desc, ctx=ctx,
-                                    qs=(q1, q2, q3), ss=(s1, s2, s3))
+                                yield desc, dict(ctx=ctx, qs=(q1, q2, q3),
+                                                 ss=(s1, s2, s3))
 
 
-def _eval_p18(payload):
-    ctx = payload["ctx"]
+def _eval_p18(ctx, qs, ss, budget=None):
     triple, f1, f2 = _triple_for(ctx)
-    q1, q2, q3 = payload["qs"]
-    s1, s2, s3 = payload["ss"]
+    q1, q2, q3 = qs
+    s1, s2, s3 = ss
     a1, a2 = f1.structure, f2.structure
     pair_q = product_ideal(a1, a2, q1, q2)
-    pair_s = product_mult_set(a1, a2, s1, s2)
+    pair_s = product_ideal(a1, a2, s1, s2)
     big_q = product_ideal(ctx.structure, a1, pair_q, q3)
-    big_s = product_mult_set(ctx.structure, a1, pair_s, s3)
+    big_s = product_ideal(ctx.structure, a1, pair_s, s3)
     lhs = _bool_by_convention(is_weakly_s_prime, triple, big_q, big_s)
     factors = ((a1, q1, s1), (a2, q2, s2), (a1, q3, s3))
     rhs = False
@@ -797,9 +694,7 @@ def _eval_p18(payload):
             rhs = True
             break
     cert = {"weakly": lhs, "split": rhs}
-    if lhs == rhs:
-        return VERIFIED, "", cert
-    return COUNTEREXAMPLE, "3-factor characterization fails", cert
+    return _outcome(lhs == rhs, "3-factor characterization fails", cert)
 
 
 def _field_like(ctx) -> bool:
@@ -811,29 +706,21 @@ def _field_like(ctx) -> bool:
 
 
 def _gen_p19(corpus):
-    for ctx in corpus:
-        if not ctx.usable or not ctx.fixture.factors:
-            continue
-        f1, f2 = _product_inputs(ctx)
-        if not (f1.usable and f2.usable):
-            continue
+    for ctx, f1, f2 in _usable_products(corpus):
         a1, a2 = f1.structure, f2.structure
         for s1 in f1.mult_sets:
             for s2 in f2.mult_sets:
                 for p in ctx.lattice.proper():
                     desc = (f"{ctx.name}: S1={_render(a1, s1)} "
                             f"S2={_render(a2, s2)} P={_render(ctx.structure, p)}")
-                    yield _instance("P19", desc, ctx=ctx, f1=f1, f2=f2,
-                                    s1=s1, s2=s2, p=p)
+                    yield desc, dict(ctx=ctx, f1=f1, f2=f2, s1=s1, s2=s2, p=p)
 
 
-def _eval_p19(payload):
-    ctx, f1, f2 = payload["ctx"], payload["f1"], payload["f2"]
-    s1, s2, p = payload["s1"], payload["s2"], payload["p"]
+def _eval_p19(ctx, f1, f2, s1, s2, p, budget=None):
     if not (_field_like(f1) and _field_like(f2)):
         return SKIPPED, "factors are not hyperfield-like", None
     a = ctx.structure
-    big_s = product_mult_set(f1.structure, f2.structure, s1, s2)
+    big_s = product_ideal(f1.structure, f2.structure, s1, s2)
     if p & big_s:
         return SKIPPED, "ideal meets S1 x S2", None
     verdict = is_weakly_s_prime(a, p, big_s)
@@ -843,35 +730,45 @@ def _eval_p19(payload):
         "counterexample": verdict.render(a.names)}
 
 
-GENERATORS = {
-    "P1": _gen_p1, "P2": _gen_p2, "P3": _gen_p3, "P4": _gen_p4,
-    "P5": _gen_p5, "P6": _gen_p6, "P7": _gen_p7, "P8": _gen_p8,
-    "P9": _gen_p9, "P10": _gen_p10, "P11": _gen_p11, "P12": _gen_p12,
-    "P13": _gen_p13, "P14": _gen_p14, "P15": _gen_p15, "P16": _gen_p16,
-    "P17": _gen_p17, "P18": _gen_p18, "P19": _gen_p19,
+# id -> (instance generator, evaluator).  Evaluators take the payload as
+# keywords, including the scan budget that run_suite may add.
+STATEMENTS = {
+    "P1": (_gen_p1, _eval_p1),
+    "P2": (_gen_p2, _eval_p2),
+    "P3": (_gen_qs, _eval_p3),
+    "P4": (_gen_p4, _eval_p4),
+    "P5": (_gen_p5, _eval_p5),
+    "P6": (_gen_qs, _eval_p6),
+    "P7": (_gen_qs, _eval_power_zero),
+    "P8": (_gen_qs, _eval_p8),
+    "P9": (_gen_q_without_one, _eval_power_zero),
+    "P10": (_gen_qs, _eval_p10),
+    "P11": (_gen_q_without_one, _eval_p11),
+    "P12": (_gen_qs, _eval_p12),
+    "P13": (_gen_p13, _eval_p13),
+    "P14": (_gen_q_without_one, _eval_p14),
+    "P15": (_gen_p15, _eval_p15),
+    "P16": (_gen_p16, _eval_p16),
+    "P17": (_gen_p17, _eval_p17),
+    "P18": (_gen_p18, _eval_p18),
+    "P19": (_gen_p19, _eval_p19),
 }
 
-EVALUATORS = {
-    "P1": _eval_p1, "P2": _eval_p2, "P3": _eval_p3, "P4": _eval_p4,
-    "P5": _eval_p5, "P6": _eval_p6, "P7": _eval_p7, "P8": _eval_p8,
-    "P9": _eval_p9, "P10": _eval_p10, "P11": _eval_p11, "P12": _eval_p12,
-    "P13": _eval_p13, "P14": _eval_p14, "P15": _eval_p15, "P16": _eval_p16,
-    "P17": _eval_p17, "P18": _eval_p18, "P19": _eval_p19,
-}
+PROPERTY_IDS = tuple(STATEMENTS)
 
 
 def generate_instances(property_id: str, corpus) -> list[Instance]:
     try:
-        gen = GENERATORS[property_id]
+        gen, _ = STATEMENTS[property_id]
     except KeyError:
         raise ValueError(f"unknown property id {property_id!r}") from None
-    return list(gen(corpus))
+    return [Instance(property_id, desc, payload) for desc, payload in gen(corpus)]
 
 
 def run_property(property_id: str, instance: Instance) -> PropertyReport:
-    evaluator = EVALUATORS[property_id]
+    _, evaluate = STATEMENTS[property_id]
     try:
-        status, reason, certificate = evaluator(instance.payload)
+        status, reason, certificate = evaluate(**instance.payload)
     except IdentityRequired as exc:
         status, reason, certificate = SKIPPED, f"identity required: {exc}", None
     except CapacityError as exc:
@@ -922,9 +819,7 @@ def search_separating_instances(corpus_names, holds: str, fails: str,
                                 budget: int | None = None) -> list[dict]:
     """All (structure, Q, S) where `holds` is true and `fails` is false."""
     found = []
-    for ctx in build_corpus(corpus_names):
-        if not ctx.usable:
-            continue
+    for ctx in _usable(build_corpus(corpus_names)):
         a = ctx.structure
         for q, s in _qs_pairs(ctx):
             try:

@@ -6,13 +6,19 @@ first, ties broken lexicographically.  Counterexamples are therefore
 deterministic and favour witnesses whose entries differ.
 
 The S-flavoured predicates share one quantifier shape: there must exist a
-single s in S that handles every qualifying tuple.  A negative verdict
-carries the first tuple that defeats every s at once when such a tuple
-exists; otherwise the verdict explains that each s fails on its own tuple.
+single s in S that handles every qualifying tuple.  ``_some_s_handles_all``
+is that quantifier for the element-level and the ideal-level scans, and
+for weakly prime as the case S = {1}.  A negative verdict carries the
+first tuple that defeats every s at once when such a tuple exists;
+otherwise the verdict explains that each s fails on its own tuple.
+
+``PREDICATES`` is the one registry of named predicates: ``classify``,
+``evaluate_predicate``, ``CLASSIFY_KEYS`` and the CLI choices all read it.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import combinations
 
 from .core import ElementSet, HyperStructure, graded_multisets, sorted_key
@@ -27,16 +33,6 @@ from .ideals import IdealLattice, colon, colon_zero, radical, scaled, scaled_set
 from .verdict import Verdict
 
 DEFAULT_IDEAL_SCAN_BUDGET = 10 ** 7
-
-CLASSIFY_KEYS = (
-    "prime",
-    "primary",
-    "weakly-prime",
-    "s-prime",
-    "weakly-s-prime",
-    "strongly-weakly-s-prime",
-    "strongly-weakly-s-prime-colon",
-)
 
 
 def _require_proper(a: HyperStructure, q: ElementSet) -> None:
@@ -105,32 +101,42 @@ def is_primary(a: HyperStructure, q: ElementSet, lattice: IdealLattice) -> Verdi
     return Verdict(True)
 
 
-def _element_scan(a: HyperStructure, q: ElementSet, s: ElementSet,
-                  weakly: bool) -> Verdict:
-    _require_disjoint(a, q, s)
-    qualifying = []
-    for ms in graded_multisets(range(a.size), a.n):
-        value = a.g_table[ms]
-        if value in q and not (weakly and value == a.zero):
-            qualifying.append(ms)
-    if not qualifying:
-        return Verdict(True, note="vacuously true")
-    candidates = s.indices()
+def _some_s_handles_all(tuples, candidates, handles, what: str = "tuple") -> Verdict:
+    """Does one s in `candidates` handle every tuple?  ``handles(s, t)``
+    decides a single pair.
+
+    `tuples` is consumed lazily and the scan stops once a tuple has
+    defeated every s at once and no s is left standing.
+    """
     alive = set(candidates)
     counterexample = None
-    for ms in qualifying:
-        defeated = [c for c in candidates
-                    if all(scaled(a, c, x) not in q for x in set(ms))]
+    vacuous = True
+    for t in tuples:
+        vacuous = False
+        defeated = [c for c in candidates if not handles(c, t)]
         alive.difference_update(defeated)
         if counterexample is None and len(defeated) == len(candidates):
-            counterexample = ms
+            counterexample = t
         if counterexample is not None and not alive:
             break
+    if vacuous:
+        return Verdict(True, note="vacuously true")
     if alive:
         return Verdict(True, witness_s=min(alive))
     if counterexample is not None:
         return Verdict(False, counterexample=counterexample)
-    return Verdict(False, note="every s fails, each on its own tuple")
+    return Verdict(False, note=f"every s fails, each on its own {what}")
+
+
+def _element_scan(a: HyperStructure, q: ElementSet, s: ElementSet,
+                  weakly: bool) -> Verdict:
+    _require_disjoint(a, q, s)
+    qualifying = (ms for ms in graded_multisets(range(a.size), a.n)
+                  if a.g_table[ms] in q
+                  and not (weakly and a.g_table[ms] == a.zero))
+    return _some_s_handles_all(
+        qualifying, s.indices(),
+        lambda c, ms: any(scaled(a, c, x) in q for x in set(ms)))
 
 
 def is_s_prime(a: HyperStructure, q: ElementSet, s: ElementSet) -> Verdict:
@@ -146,33 +152,37 @@ def is_weakly_s_prime(a: HyperStructure, q: ElementSet, s: ElementSet) -> Verdic
 def is_weakly_prime(a: HyperStructure, q: ElementSet) -> Verdict:
     """Weakly S-prime with the identity as the only scaling element."""
     _require_proper(a, q)
-    qualifying = []
-    for ms in graded_multisets(range(a.size), a.n):
-        value = a.g_table[ms]
-        if value in q and value != a.zero:
-            qualifying.append(ms)
-    if not qualifying:
-        return Verdict(True, note="vacuously true")
-    if a.one is None and a.n > 2:
-        raise IdentityRequired("weakly prime needs a scalar identity when n > 2")
-    for ms in qualifying:
-        hits = (x in q for x in set(ms)) if a.one is None else \
-               (scaled(a, a.one, x) in q for x in set(ms))
-        if not any(hits):
-            return Verdict(False, counterexample=ms)
-    return Verdict(True, witness_s=a.one)
+    qualifying = (ms for ms in graded_multisets(range(a.size), a.n)
+                  if a.g_table[ms] in q and a.g_table[ms] != a.zero)
+
+    def handles(one, ms):
+        if one is None and a.n > 2:
+            raise IdentityRequired("weakly prime needs a scalar identity when n > 2")
+        return any((x if one is None else scaled(a, one, x)) in q for x in set(ms))
+
+    return _some_s_handles_all(qualifying, (a.one,), handles)
+
+
+def _ideal_tuples_into(a: HyperStructure, q: ElementSet, lattice: IdealLattice):
+    """Lattice-index n-multisets whose ideal product is nonzero and inside Q."""
+    zero_mask = 1 << a.zero
+    for ms in graded_multisets(range(len(lattice)), a.n):
+        image = a.eval_g_on_sets([lattice[i] for i in ms])
+        if image.mask != zero_mask and image.issubset(q):
+            yield ms
+
+
+def _scaled_factor_inside(a: HyperStructure, q: ElementSet, lattice: IdealLattice):
+    """handles(s, ms): some factor ideal of ms, scaled by s, lies inside Q."""
+    return lambda c, ms: any(scaled_set(a, c, lattice[i]).issubset(q)
+                             for i in set(ms))
 
 
 def strongly_associated(a: HyperStructure, q: ElementSet, s_elt: int,
                         lattice: IdealLattice) -> bool:
     """Inner check of the strongly-weakly definition for one fixed s."""
-    for ms in graded_multisets(range(len(lattice)), a.n):
-        image = a.eval_g_on_sets([lattice[i] for i in ms])
-        if image.mask == 1 << a.zero or not image.issubset(q):
-            continue
-        if not any(scaled_set(a, s_elt, lattice[i]).issubset(q) for i in set(ms)):
-            return False
-    return True
+    return bool(_some_s_handles_all(_ideal_tuples_into(a, q, lattice), (s_elt,),
+                                    _scaled_factor_inside(a, q, lattice)).holds)
 
 
 def is_strongly_weakly_s_prime(a: HyperStructure, q: ElementSet, s: ElementSet,
@@ -185,31 +195,13 @@ def is_strongly_weakly_s_prime(a: HyperStructure, q: ElementSet, s: ElementSet,
     if len(lattice) ** a.n > limit:
         raise CapacityError(
             f"{len(lattice)}^{a.n} ideal tuples exceed the scan budget {limit}")
-    qualifying = []
-    for ms in graded_multisets(range(len(lattice)), a.n):
-        image = a.eval_g_on_sets([lattice[i] for i in ms])
-        if image.mask != 1 << a.zero and image.issubset(q):
-            qualifying.append(ms)
-    if not qualifying:
-        return Verdict(True, note="vacuously true")
-    candidates = s.indices()
-    alive = set(candidates)
-    counterexample = None
-    for ms in qualifying:
-        defeated = [c for c in candidates
-                    if not any(scaled_set(a, c, lattice[i]).issubset(q)
-                               for i in set(ms))]
-        alive.difference_update(defeated)
-        if counterexample is None and len(defeated) == len(candidates):
-            counterexample = ms
-        if counterexample is not None and not alive:
-            break
-    if alive:
-        return Verdict(True, witness_s=min(alive))
-    if counterexample is not None:
-        return Verdict(False, counterexample=counterexample,
-                       note="counterexample holds hyperideal indices")
-    return Verdict(False, note="every s fails, each on its own ideal tuple")
+    verdict = _some_s_handles_all(_ideal_tuples_into(a, q, lattice), s.indices(),
+                                  _scaled_factor_inside(a, q, lattice),
+                                  what="ideal tuple")
+    if verdict.counterexample is None:
+        return verdict
+    return replace(verdict, note="counterexample holds hyperideal indices",
+                   ideals=tuple(lattice[i] for i in verdict.counterexample))
 
 
 def is_strongly_weakly_s_prime_colon(a: HyperStructure, q: ElementSet,
@@ -253,30 +245,37 @@ def is_hyperintegral_domain(a: HyperStructure) -> Verdict:
     return Verdict(True)
 
 
+# Every named predicate as a function of (A, Q, S, lattice, budget).  The
+# lambdas look the predicates up by module name at call time, so a wrapper
+# bound over a name (for tracing, say) also sees the calls made from here.
+PREDICATES = {
+    "prime": lambda a, q, s, lattice, budget: is_prime(a, q),
+    "primary": lambda a, q, s, lattice, budget: is_primary(a, q, lattice),
+    "weakly-prime": lambda a, q, s, lattice, budget: is_weakly_prime(a, q),
+    "s-prime": lambda a, q, s, lattice, budget: is_s_prime(a, q, s),
+    "weakly-s-prime": lambda a, q, s, lattice, budget: is_weakly_s_prime(a, q, s),
+    "strongly-weakly-s-prime": lambda a, q, s, lattice, budget:
+        is_strongly_weakly_s_prime(a, q, s, lattice, budget),
+    "strongly-weakly-s-prime-colon": lambda a, q, s, lattice, budget:
+        is_strongly_weakly_s_prime_colon(a, q, s),
+}
+
+CLASSIFY_KEYS = tuple(PREDICATES)
+
+
 def classify(a: HyperStructure, q: ElementSet, s: ElementSet,
              lattice: IdealLattice, budget: int | None = None) -> dict[str, Verdict]:
     """All predicate verdicts at once; unevaluable ones fold into notes."""
     _require_disjoint(a, q, s)
-
-    def guarded(fn, *args, **kwargs):
+    record = {}
+    for name, predicate in PREDICATES.items():
         try:
-            return fn(*args, **kwargs)
+            record[name] = predicate(a, q, s, lattice, budget)
         except IdentityRequired as exc:
-            return Verdict(None, note=f"identity required: {exc}")
+            record[name] = Verdict(None, note=f"identity required: {exc}")
         except CapacityError as exc:
-            return Verdict(None, note=f"capacity: {exc}")
-
-    return {
-        "prime": guarded(is_prime, a, q),
-        "primary": guarded(is_primary, a, q, lattice),
-        "weakly-prime": guarded(is_weakly_prime, a, q),
-        "s-prime": guarded(is_s_prime, a, q, s),
-        "weakly-s-prime": guarded(is_weakly_s_prime, a, q, s),
-        "strongly-weakly-s-prime": guarded(
-            is_strongly_weakly_s_prime, a, q, s, lattice, budget),
-        "strongly-weakly-s-prime-colon": guarded(
-            is_strongly_weakly_s_prime_colon, a, q, s),
-    }
+            record[name] = Verdict(None, note=f"capacity: {exc}")
+    return record
 
 
 IMPLICATION_CHAIN = (
@@ -299,21 +298,11 @@ def chain_violations(record: dict[str, Verdict]) -> list[str]:
 def evaluate_predicate(name: str, a: HyperStructure, q: ElementSet, s: ElementSet,
                        lattice: IdealLattice, budget: int | None = None) -> Verdict:
     """Single-predicate dispatch using the classify record keys."""
-    if name == "prime":
-        return is_prime(a, q)
-    if name == "primary":
-        return is_primary(a, q, lattice)
-    if name == "weakly-prime":
-        return is_weakly_prime(a, q)
-    if name == "s-prime":
-        return is_s_prime(a, q, s)
-    if name == "weakly-s-prime":
-        return is_weakly_s_prime(a, q, s)
-    if name == "strongly-weakly-s-prime":
-        return is_strongly_weakly_s_prime(a, q, s, lattice, budget)
-    if name == "strongly-weakly-s-prime-colon":
-        return is_strongly_weakly_s_prime_colon(a, q, s)
-    raise ValueError(f"unknown predicate {name!r}")
+    try:
+        predicate = PREDICATES[name]
+    except KeyError:
+        raise ValueError(f"unknown predicate {name!r}") from None
+    return predicate(a, q, s, lattice, budget)
 
 
 def multiplicative_subsets(a: HyperStructure, max_size: int,

@@ -7,6 +7,7 @@ load problems, 3 violated preconditions.
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -78,6 +79,18 @@ class TestValidate:
         code, _, err = run_cli(capsys, "validate", str(tmp_path / "no.json"))
         assert code == 2
 
+    def test_high_arity_partial_table_fails_fast(self, capsys, tmp_path):
+        # C(49, 40) ~ 2e9 multisets: the totality check must not count them
+        doc = {"m": 40, "n": 2, "carrier": [str(i) for i in range(10)],
+               "zero": "0", "f": {",".join(["0"] * 40): ["0"]}, "g": {}}
+        path = tmp_path / "m40.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, "validate", str(path))
+        assert code == 2
+        assert time.perf_counter() - start < 1.0
+        assert "not total" in err
+
 
 class TestClassify:
     def test_designated_pair(self, capsys):
@@ -128,6 +141,20 @@ class TestClassify:
         code, _, err = run_cli(capsys, "classify", "--fixture", "ring:Z4",
                                "--ideal", "9", "--mult-set", "1")
         assert code == 2
+
+    def test_ideal_level_counterexample_names_ideals(self, capsys):
+        argv = ("classify", "--fixture", "ring:Z2xZ4",
+                "--ideal", "0|0,0|2", "--mult-set", "1|1")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert ("  strongly-weakly-s-prime: false counterexample="
+                "({0|0,0|1,0|2,0|3},{0|0,0|2,1|0,1|2}) "
+                "(counterexample holds hyperideal indices)") in out
+        code, out, _ = run_cli(capsys, *argv, "--json")
+        record = json.loads(out)["record"]
+        assert record["strongly-weakly-s-prime"]["counterexample"] == [
+            "{0|0,0|1,0|2,0|3}", "{0|0,0|2,1|0,1|2}"]
+        assert record["weakly-s-prime"]["counterexample"] == ["0|1", "1|2"]
 
 
 class TestIdeals:

@@ -48,7 +48,7 @@ class TestProducts:
 
     def test_product_mult_set(self, z4):
         z3 = H.fixture("ring:Z3").structure
-        s = H.product_mult_set(z4, z3, z4.subset([1, 3]), z3.subset([1]))
+        s = H.product_ideal(z4, z3, z4.subset([1, 3]), z3.subset([1]))
         prod = H.fixture("ring:Z4xZ3").structure
         assert s.render(prod.names) == "{1|1,3|1}"
 

@@ -59,6 +59,18 @@ class TestFrozenVerdicts:
             z12, z12.subset([0, 6]), z12.subset([1]))
         assert colon_route.holds is False
 
+    def test_ideal_level_counterexample_renders_ideals(self):
+        a = H.fixture("ring:Z2xZ4").structure
+        lat = H.enumerate_hyperideals(a)
+        verdict = H.is_strongly_weakly_s_prime(
+            a, a.subset([a.index_of("0|0"), a.index_of("0|2")]),
+            a.subset([a.index_of("1|1")]), lat)
+        assert verdict.counterexample == (3, 4)
+        assert verdict.ideals == (lat[3], lat[4])
+        assert verdict.render(a.names) == (
+            "false counterexample=({0|0,0|1,0|2,0|3},{0|0,0|2,1|0,1|2}) "
+            "(counterexample holds hyperideal indices)")
+
     def test_z12_weakly_prime(self, z12):
         assert H.is_weakly_prime(z12, z12.subset([0, 6])).counterexample == (2, 3)
         assert H.is_prime(z12, z12.subset([0])).counterexample == (2, 6)
