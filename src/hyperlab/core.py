@@ -213,6 +213,11 @@ def _normalize_table(entries: Mapping[Sequence[int], object], arity: int, size: 
     table = {canon: value for canon, (_, value) in seen.items()}
     expected = math.comb(size + arity - 1, arity)
     if len(table) != expected:
+        # name a missing multiset only when the input holds a key of this
+        # arity, so the message is never larger than the input
+        if not table:
+            raise TableError(f"{what} table is not total: it is empty, "
+                             f"expected {expected} multisets")
         missing = next(ms for ms in multisets(size, arity) if ms not in table)
         raise TableError(f"{what} table is not total: no entry for multiset {missing}")
     return table

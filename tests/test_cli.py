@@ -91,6 +91,16 @@ class TestValidate:
         assert time.perf_counter() - start < 1.0
         assert "not total" in err
 
+    def test_huge_arity_empty_table_message_stays_small(self, capsys, tmp_path):
+        doc = {"m": 1000000, "n": 2, "carrier": ["0", "1"], "zero": "0",
+               "f": {}, "g": {}}
+        path = tmp_path / "m-huge.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "validate", str(path))
+        assert code == 2
+        assert len(err) < 1024
+        assert "not total" in err
+
 
 class TestClassify:
     def test_designated_pair(self, capsys):
@@ -171,6 +181,12 @@ class TestIdeals:
         assert len(doc["ideals"]) == 6
         assert doc["ideals"][0] == {"elements": ["0"], "prime": False}
         assert sum(row["prime"] for row in doc["ideals"]) == 2
+
+    def test_carrier_above_twenty_elements(self, capsys):
+        code, out, _ = run_cli(capsys, "ideals", "--fixture", "ring:Z24",
+                               "--json")
+        assert code == 0
+        assert len(json.loads(out)["ideals"]) == 8
 
 
 class TestTheorems:

@@ -101,6 +101,13 @@ class TestStatusEdges:
         assert skipped
         assert {r.property_id for r in skipped} <= set(H.PROPERTY_IDS)
 
+    def test_carrier_above_twenty_elements_gets_a_lattice(self):
+        reports = H.run_suite(("ring:Z24",), property_ids=("P1",))
+        axioms = by_property(reports, "AXIOMS")[0]
+        assert (axioms.status, axioms.reason) == (H.VERIFIED, "validity scan clean")
+        assert by_property(reports, "P1")
+        assert not any(r.status == H.COUNTEREXAMPLE for r in reports)
+
 
 class TestSearch:
     def test_separation_found(self):

@@ -1,10 +1,14 @@
 """Hyperideal recognition, enumeration, colon ideals, and radicals."""
 
 import itertools
+import math
+import random
+import time
 
 import pytest
 
 import hyperlab as H
+import hyperlab.ideals as ideals_module
 
 
 def naive_is_ideal(a, members):
@@ -85,10 +89,121 @@ def test_is_hyperideal_failure_notes(ex33, z6):
     assert verdict.holds is False
 
 
-def test_enumeration_capacity():
-    big = H.fixture("ring:Z24").structure
+def subset_scan(a):
+    """Reference lattice: is_hyperideal on every subset that holds zero."""
+    zero_bit = 1 << a.zero
+    found = [H.ElementSet(mask, a.size) for mask in range(1 << a.size)
+             if mask & zero_bit and H.is_hyperideal(a, H.ElementSet(mask, a.size)).holds]
+    found.sort(key=lambda s: (len(s), s.mask))
+    return [q.mask for q in found], [scan_prime(a, q) for q in found]
+
+
+def scan_prime(a, q):
+    if q.mask == a.full_set().mask:
+        return False
+    return all(a.g_table[ms] not in q or any(x in q for x in ms)
+               for ms in itertools.combinations_with_replacement(range(a.size), a.n))
+
+
+def assert_matches_scan(a):
+    lattice = H.enumerate_hyperideals(a)
+    assert ([q.mask for q in lattice], list(lattice.prime_flags)) == subset_scan(a)
+
+
+SMALL_FIXTURES = (
+    ["paper-2-4", "paper-3-3", "paper-3-3-s1"]
+    + [f"ring:Z{k}" for k in range(2, 17)]
+    + [f"ring:Z{j}xZ{k}" for j in range(2, 9) for k in range(2, 9) if j * k <= 16])
+
+
+@pytest.mark.parametrize("name", SMALL_FIXTURES)
+def test_closure_route_matches_subset_scan(name):
+    assert_matches_scan(H.fixture(name).structure)
+
+
+@pytest.mark.parametrize("name", ["paper-2-4", "ring:Z12", "ring:Z2xZ4", "ring:Z24"])
+def test_every_closed_set_of_a_valid_structure_is_an_ideal(name, monkeypatch):
+    checked = []
+
+    def counting_is_hyperideal(a, q):
+        checked.append(q.mask)
+        return H.is_hyperideal(a, q)
+
+    monkeypatch.setattr(ideals_module, "is_hyperideal", counting_is_hyperideal)
+    lattice = H.enumerate_hyperideals(H.fixture(name).structure)
+    assert sorted(checked) == sorted(q.mask for q in lattice)
+
+
+def random_mutant(a, rng):
+    """Copy of ``a`` with one to three f or g entries replaced at random."""
+    f_entries = {k: tuple(v) for k, v in a.f_table.items()}
+    g_entries = dict(a.g_table)
+    for _ in range(rng.randint(1, 3)):
+        if rng.random() < 0.5:
+            key = rng.choice(sorted(f_entries))
+            f_entries[key] = tuple(rng.sample(range(a.size), rng.randint(1, 2)))
+        else:
+            g_entries[rng.choice(sorted(g_entries))] = rng.randrange(a.size)
+    return H.HyperStructure.from_tables(a.m, a.n, a.names, f_entries, g_entries,
+                                        a.zero, a.one, label=a.label + "-mutant")
+
+
+@pytest.mark.parametrize("name", ["paper-2-4", "paper-3-3", "ring:Z6", "ring:Z8",
+                                  "ring:Z9", "ring:Z12", "ring:Z2xZ4"])
+def test_closure_route_matches_subset_scan_on_mutants(name):
+    base = H.fixture(name).structure
+    rng = random.Random(name)
+    for _ in range(30):
+        assert_matches_scan(random_mutant(base, rng))
+
+
+def divisor_lattice(j, k=1):
+    """mask -> prime flag of the ideals dZ_j x eZ_k for d | j and e | k."""
+    a = H.fixture(f"ring:Z{j}" if k == 1 else f"ring:Z{j}xZ{k}").structure
+    coords = [tuple(map(int, name.split("|"))) if k > 1 else (int(name), 0)
+              for name in a.names]
+    expected = {}
+    for d in (d for d in range(1, j + 1) if j % d == 0):
+        for e in (e for e in range(1, k + 1) if k % e == 0):
+            mask = sum(1 << i for i, (x, y) in enumerate(coords)
+                       if x % d == 0 and y % e == 0)
+            expected[mask] = ((e == 1 and is_prime_number(d))
+                              or (d == 1 and is_prime_number(e)))
+    return a, expected
+
+
+def is_prime_number(d):
+    return d > 1 and all(d % p for p in range(2, math.isqrt(d) + 1))
+
+
+@pytest.mark.parametrize("j, k, count", [(24, 1, 8), (60, 1, 12), (64, 1, 7),
+                                         (2, 32, 12), (4, 16, 15)])
+def test_large_rings_give_divisor_lattices(j, k, count):
+    a, expected = divisor_lattice(j, k)
+    start = time.perf_counter()
+    lattice = H.enumerate_hyperideals(a)
+    assert time.perf_counter() - start < 1.0
+    assert len(lattice) == len(expected) == count
+    assert dict(zip((q.mask for q in lattice), lattice.prime_flags)) == expected
+
+
+def degenerate(size):
+    """Every subset that holds zero is a hyperideal: f(x, y) = {x, y}."""
+    f = {}
+    for x, y in itertools.combinations_with_replacement(range(size), 2):
+        f[(x, y)] = (0, x) if x == y else (y,) if x == 0 else (x, y)
+    g = dict.fromkeys(itertools.combinations_with_replacement(range(size), 2), 0)
+    return H.HyperStructure.from_tables(2, 2, [str(i) for i in range(size)], f, g, zero=0)
+
+
+def test_enumeration_capacity(monkeypatch):
+    a = degenerate(14)
+    monkeypatch.setattr(ideals_module, "ENUMERATION_CAP", 1000)
+    start = time.perf_counter()
     with pytest.raises(H.CapacityError):
-        H.enumerate_hyperideals(big)
+        H.enumerate_hyperideals(a)
+    assert time.perf_counter() - start < 1.0
+    assert len(H.enumerate_hyperideals(degenerate(8))) == 1 << 7
 
 
 class TestGeneratedAndColon:
