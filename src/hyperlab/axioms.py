@@ -13,7 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import ElementSet, HyperStructure, insert_sorted, multiset_splits, multisets
+from .core import (
+    ElementSet,
+    HyperStructure,
+    insert_sorted,
+    inverse_candidates,
+    multiset_splits,
+    multisets,
+)
 from .errors import ArityError, TableError
 
 AXIOM_ORDER = (
@@ -37,29 +44,6 @@ class AxiomViolation:
     axiom: str
     witness: tuple
     detail: str
-
-
-def inverse_candidates(a: HyperStructure, x: int) -> tuple[int, ...]:
-    """All y with zero in f(x, y, zero^(m-2))."""
-    pad = (a.zero,) * (a.m - 2)
-    out = []
-    for y in range(a.size):
-        if a.zero in a.f_table[tuple(sorted((x, y) + pad))]:
-            out.append(y)
-    return tuple(out)
-
-
-def inverse_map(a: HyperStructure) -> dict[int, int]:
-    """x -> its unique inverse, for the elements where one exists."""
-    cached = a._cache.get("inverse_map")
-    if cached is None:
-        cached = {}
-        for x in range(a.size):
-            cands = inverse_candidates(a, x)
-            if len(cands) == 1:
-                cached[x] = cands[0]
-        a._cache["inverse_map"] = cached
-    return cached
 
 
 def _nested_f(a: HyperStructure, inner: tuple[int, ...], outer: tuple[int, ...]) -> int:
@@ -134,20 +118,21 @@ def _neutral_violations(a: HyperStructure, first: bool) -> list[AxiomViolation]:
 def _inverse_violations(a: HyperStructure, first: bool) -> list[AxiomViolation]:
     out = []
     for x in range(a.size):
+        if x in a.inverse_map:
+            continue  # exactly one candidate
         cands = inverse_candidates(a, x)
-        if len(cands) != 1:
-            shown = "{" + ",".join(a.names[c] for c in cands) + "}"
-            out.append(AxiomViolation(
-                "INVERSE_UNIQUE", (x,),
-                f"{a.names[x]} has {len(cands)} inverse candidates {shown}",
-            ))
-            if first:
-                return out
+        shown = "{" + ",".join(a.names[c] for c in cands) + "}"
+        out.append(AxiomViolation(
+            "INVERSE_UNIQUE", (x,),
+            f"{a.names[x]} has {len(cands)} inverse candidates {shown}",
+        ))
+        if first:
+            return out
     return out
 
 
 def _reversibility_violations(a: HyperStructure, first: bool) -> list[AxiomViolation]:
-    inv = inverse_map(a)
+    inv = a.inverse_map
     out = []
     for ms in multisets(a.size, a.m):
         value = a.f_table[ms]
@@ -316,7 +301,7 @@ def replay(a: HyperStructure, violation: AxiomViolation) -> bool:
         return nested(a, left, outer_left) != nested(a, right, outer_right)
     if ax == "REVERSIBILITY":
         ms, x, i = w
-        inv = inverse_map(a)
+        inv = a.inverse_map
         others = ms[:i] + ms[i + 1:]
         if x not in a.f_table[ms] or any(o not in inv for o in others):
             return False

@@ -204,7 +204,7 @@ class Fixture:
     mult_set: ElementSet | None = None
     canonical: bool = True
     notes: tuple[str, ...] = ()
-    factors: tuple[str, str] | None = None
+    factors: tuple[Fixture, Fixture] | None = None
 
 
 _MADAR_F = {
@@ -252,22 +252,13 @@ _EX33_NOTES = (
     "designated subset {0,2} is not a hyperideal of the printed tables",
 )
 
-_RING_NAME = re.compile(r"^ring:Z(\d+)(?:xZ(\d+))?$")
-
-_fixture_cache: dict[str, Fixture] = {}
+# ASCII digits only (\d takes the digits of every script), and few enough
+# that int() never meets its digit limit; fullmatch, since $ allows "\n"
+_RING_NAME = re.compile(r"ring:Z([0-9]{1,3})(?:xZ([0-9]{1,3}))?")
 
 
 def fixture(name: str) -> Fixture:
-    """Resolve a fixture name; structures are cached and immutable."""
-    cached = _fixture_cache.get(name)
-    if cached is not None:
-        return cached
-    built = _build_fixture(name)
-    _fixture_cache[name] = built
-    return built
-
-
-def _build_fixture(name: str) -> Fixture:
+    """Build the named fixture; every call builds it afresh."""
     if name == "paper-2-4":
         a = _build_madar()
         return Fixture(name, a, ideal=a.subset((0,)), mult_set=a.subset((2, 3)))
@@ -281,7 +272,7 @@ def _build_fixture(name: str) -> Fixture:
                        canonical=False,
                        notes=_EX33_NOTES[1:] + (
                            "alternative multiplicative set restoring disjointness",))
-    match = _RING_NAME.match(name)
+    match = _RING_NAME.fullmatch(name)
     if match is None:
         raise UnknownFixtureError(f"unknown fixture {name!r}")
     j = int(match.group(1))
@@ -295,4 +286,4 @@ def _build_fixture(name: str) -> Fixture:
     left = fixture(f"ring:Z{j}")
     right = fixture(f"ring:Z{k}")
     built = product(left.structure, right.structure, validate=True, label=name)
-    return Fixture(name, built, factors=(left.name, right.name))
+    return Fixture(name, built, factors=(left, right))

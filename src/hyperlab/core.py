@@ -131,13 +131,6 @@ def insert_sorted(sorted_args: Sequence[int], value: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def remove_one(sorted_args: Sequence[int], value: int) -> tuple[int, ...]:
-    """Sorted tuple with the first occurrence of ``value`` dropped."""
-    out = list(sorted_args)
-    out.remove(value)
-    return tuple(out)
-
-
 def multisets(universe: int, k: int) -> Iterator[tuple[int, ...]]:
     """All sorted k-multisets over ``range(universe)`` in lexicographic order."""
     return itertools.combinations_with_replacement(range(universe), k)
@@ -223,6 +216,13 @@ def _normalize_table(entries: Mapping[Sequence[int], object], arity: int, size: 
     return table
 
 
+def inverse_candidates(a: "HyperStructure", x: int) -> tuple[int, ...]:
+    """All y with zero in f(x, y, zero^(m-2))."""
+    pad = (a.zero,) * (a.m - 2)
+    return tuple(y for y in range(a.size)
+                 if a.zero in a.f_table[tuple(sorted((x, y) + pad))])
+
+
 @dataclass(frozen=True, eq=True)
 class HyperStructure:
     """A finite commutative Krasner (m, n)-hyperring candidate.
@@ -239,7 +239,18 @@ class HyperStructure:
     zero: int
     one: int | None = None
     label: str = field(default="", compare=False)
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
+    # x -> its unique inverse, for the elements where one exists.  Built with
+    # the structure: a cached_property writes through the instance __dict__,
+    # which on CPython 3.11 makes every later attribute read on it ~3x slower.
+    inverse_map: dict[int, int] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        inverses = {}
+        for x in range(self.size):
+            cands = inverse_candidates(self, x)
+            if len(cands) == 1:
+                inverses[x] = cands[0]
+        object.__setattr__(self, "inverse_map", inverses)
 
     @classmethod
     def from_tables(
@@ -288,13 +299,9 @@ class HyperStructure:
         return len(self.names)
 
     def index_of(self, name: str) -> int:
-        lookup = self._cache.get("name_index")
-        if lookup is None:
-            lookup = {nm: i for i, nm in enumerate(self.names)}
-            self._cache["name_index"] = lookup
         try:
-            return lookup[name]
-        except KeyError:
+            return self.names.index(name)
+        except ValueError:
             raise UnknownElementError(f"no carrier element named {name!r}") from None
 
     def subset(self, indices: Iterable[int]) -> ElementSet:
@@ -348,9 +355,6 @@ class HyperStructure:
     def eval_g_on_sets(self, sets: Sequence[ElementSet]) -> ElementSet:
         """Set-wise g: the raw image of g over every choice of arguments."""
         return self._eval_on_sets(sets, self.n, "g")
-
-    def element_multisets(self, k: int) -> Iterator[tuple[int, ...]]:
-        return multisets(self.size, k)
 
     def render_elements(self, indices: Iterable[int]) -> str:
         return "(" + ",".join(self.names[i] for i in indices) + ")"

@@ -10,7 +10,6 @@ multiset carrying different values.
 from __future__ import annotations
 
 import json
-from importlib import resources
 from pathlib import Path
 
 from .core import HyperStructure
@@ -42,12 +41,16 @@ def document_to_structure(doc: object) -> HyperStructure:
     if not isinstance(doc, dict):
         raise LoadError("document must be a JSON object")
     try:
-        m = int(doc["m"])
-        n = int(doc["n"])
+        m, n = doc["m"], doc["n"]
         carrier = doc["carrier"]
         zero_name = doc["zero"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise LoadError(f"malformed document header: {exc}") from exc
+    except KeyError as exc:
+        raise LoadError(f"malformed document header: missing {exc}") from exc
+    for key, arity in (("m", m), ("n", n)):
+        # bool is an int subclass, and 2.7 or "3" must not pass as 2 or 3
+        if type(arity) is not int:
+            raise LoadError(f"malformed document header: {key} must be an "
+                            f"integer, got {type(arity).__name__}")
     if (not isinstance(carrier, list)
             or not all(isinstance(x, str) for x in carrier)):
         raise LoadError("carrier must be a list of element names")
@@ -96,6 +99,8 @@ def deserialize(text: str) -> HyperStructure:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise LoadError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise LoadError("document nests too deeply to parse") from exc
     return document_to_structure(doc)
 
 
@@ -110,12 +115,3 @@ def load_structure(path: str | Path) -> HyperStructure:
 def dump_structure(a: HyperStructure, path: str | Path) -> None:
     Path(path).write_text(serialize(a), encoding="utf-8")
 
-
-def load_packaged(name: str) -> HyperStructure:
-    """Load one of the JSON documents shipped inside the package."""
-    ref = resources.files("hyperlab").joinpath("data", f"{name}.json")
-    try:
-        text = ref.read_text(encoding="utf-8")
-    except (FileNotFoundError, OSError) as exc:
-        raise LoadError(f"no packaged structure {name!r}") from exc
-    return deserialize(text)

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations_with_replacement
 
 from .axioms import check_krasner
@@ -110,13 +111,15 @@ class Instance:
 
 @dataclass
 class StructureContext:
-    """A fixture prepared for the suite: validity scan, lattice, mult sets."""
+    """A fixture prepared for the suite: validity scan, lattice, mult sets,
+    and for a product fixture the contexts of its two factors."""
 
     fixture: Fixture
     violations: tuple
     lattice: IdealLattice | None
     lattice_error: str
     mult_sets: tuple[ElementSet, ...]
+    factors: tuple[StructureContext, StructureContext] | None = None
 
     @property
     def name(self) -> str:
@@ -131,26 +134,32 @@ class StructureContext:
         return (self.fixture.canonical and not self.violations
                 and self.lattice is not None)
 
-
-_context_cache: dict[tuple[str, int], StructureContext] = {}
+    @cached_property
+    def triple(self) -> HyperStructure:
+        """This product times its first factor, for the 3-factor statement."""
+        f1 = self.factors[0]
+        return product(self.structure, f1.structure, label=f"{self.name}x{f1.name}")
 
 
 def build_context(name: str, mult_cap: int = MULT_SIZE_CAP) -> StructureContext:
-    key = (name, mult_cap)
-    if key not in _context_cache:
-        fx = fixture(name)
-        violations = tuple(check_krasner(fx.structure))
-        lattice, err = None, ""
-        if not violations:
-            try:
-                lattice = enumerate_hyperideals(fx.structure)
-            except CapacityError as exc:
-                err = str(exc)
-        else:
-            err = "structure fails the validity scan"
-        mult_sets = tuple(multiplicative_subsets(fx.structure, mult_cap))
-        _context_cache[key] = StructureContext(fx, violations, lattice, err, mult_sets)
-    return _context_cache[key]
+    return _prepare(fixture(name), mult_cap)
+
+
+def _prepare(fx: Fixture, mult_cap: int) -> StructureContext:
+    violations = tuple(check_krasner(fx.structure))
+    lattice, err = None, ""
+    if not violations:
+        try:
+            lattice = enumerate_hyperideals(fx.structure)
+        except CapacityError as exc:
+            err = str(exc)
+    else:
+        err = "structure fails the validity scan"
+    mult_sets = tuple(multiplicative_subsets(fx.structure, mult_cap))
+    factors = None
+    if fx.factors:
+        factors = tuple(_prepare(f, PRODUCT_MULT_SIZE_CAP) for f in fx.factors)
+    return StructureContext(fx, violations, lattice, err, mult_sets, factors)
 
 
 def build_corpus(names, mult_cap: int = MULT_SIZE_CAP) -> list[StructureContext]:
@@ -597,20 +606,11 @@ def _eval_p16(ctx, sub, incl, s_sub, s_par, q2, budget=None):
     return _outcome(ok, "restriction lost weak S-primeness", cert)
 
 
-def _product_inputs(ctx):
-    f1 = build_context(ctx.fixture.factors[0], PRODUCT_MULT_SIZE_CAP)
-    f2 = build_context(ctx.fixture.factors[1], PRODUCT_MULT_SIZE_CAP)
-    return f1, f2
-
-
 def _usable_products(corpus):
     """(ctx, f1, f2) for each usable product structure with usable factors."""
     for ctx in _usable(corpus):
-        if not ctx.fixture.factors:
-            continue
-        f1, f2 = _product_inputs(ctx)
-        if f1.usable and f2.usable:
-            yield ctx, f1, f2
+        if ctx.factors and all(f.usable for f in ctx.factors):
+            yield ctx, *ctx.factors
 
 
 def _gen_p17(corpus):
@@ -643,18 +643,6 @@ def _eval_p17(ctx, f1, f2, q1, q2, s1, s2, budget=None):
                     "three product characterizations disagree", cert)
 
 
-_triple_cache: dict[str, tuple] = {}
-
-
-def _triple_for(ctx):
-    if ctx.name not in _triple_cache:
-        f1, f2 = _product_inputs(ctx)
-        triple = product(ctx.structure, f1.structure,
-                         label=f"{ctx.name}x{f1.name}")
-        _triple_cache[ctx.name] = (triple, f1, f2)
-    return _triple_cache[ctx.name]
-
-
 def _gen_p18(corpus):
     for ctx, f1, f2 in _usable_products(corpus):
         a1, a2 = f1.structure, f2.structure
@@ -676,7 +664,8 @@ def _gen_p18(corpus):
 
 
 def _eval_p18(ctx, qs, ss, budget=None):
-    triple, f1, f2 = _triple_for(ctx)
+    triple = ctx.triple
+    f1, f2 = ctx.factors
     q1, q2, q3 = qs
     s1, s2, s3 = ss
     a1, a2 = f1.structure, f2.structure

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
-from .axioms import inverse_map
 from .core import ElementSet, HyperStructure, insert_sorted, multisets, sorted_key
 from .errors import CapacityError, IdentityRequired
 from .verdict import Verdict
@@ -37,7 +36,7 @@ def is_hyperideal(a: HyperStructure, q: ElementSet) -> Verdict:
             bad = next(x for x in value if x not in q)
             return Verdict(False, counterexample=args,
                            note=f"not closed under f: {a.names[bad]} escapes")
-    inv = inverse_map(a)
+    inv = a.inverse_map
     for x in members:
         if x not in inv:
             return Verdict(False, counterexample=(x,),
@@ -111,7 +110,7 @@ def _forced_masks(a: HyperStructure) -> list[int]:
     That is zero, the unique inverse of x where one exists, and g(ctx, x)
     for every ctx in A^(n-1).
     """
-    inv = inverse_map(a)
+    inv = a.inverse_map
     forced = [1 << a.zero | (1 << inv[x] if x in inv else 0) for x in range(a.size)]
     for key, value in a.g_table.items():
         for x in set(key):
@@ -157,7 +156,7 @@ def _closed_sets(a: HyperStructure) -> list[int]:
     CapacityError once more than ``ENUMERATION_CAP`` closures were computed.
     """
     forced = _forced_masks(a)
-    inv = inverse_map(a)
+    inv = a.inverse_map
     bad = sum(1 << x for x in range(a.size) if x not in inv)
     closures = 0
 

@@ -101,6 +101,13 @@ class TestValidate:
         assert len(err) < 1024
         assert "not total" in err
 
+    def test_deeply_nested_document(self, capsys, tmp_path):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100000)
+        code, _, err = run_cli(capsys, "validate", str(path))
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestClassify:
     def test_designated_pair(self, capsys):
@@ -187,6 +194,13 @@ class TestIdeals:
                                "--json")
         assert code == 0
         assert len(json.loads(out)["ideals"]) == 8
+
+    @pytest.mark.parametrize("name", ["ring:Z" + "9" * 5000, "ring:Z\u0663"],
+                             ids=["many-digits", "arabic-indic-digit"])
+    def test_odd_fixture_names(self, capsys, name):
+        code, out, err = run_cli(capsys, "ideals", "--fixture", name)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: unknown fixture") and err.count("\n") == 1
 
 
 class TestTheorems:

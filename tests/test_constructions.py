@@ -140,13 +140,17 @@ class TestFixtures:
         assert H.check_krasner(z5) == []
 
     def test_unknown_names_rejected(self):
-        for bad in ("bogus", "ring:Z1", "ring:Z65", "ring:Z9xZ9"):
+        for bad in ("bogus", "ring:Z1", "ring:Z65", "ring:Z9xZ9",
+                    "ring:Z\u0663", "ring:Z3xZ\u0662", "ring:Z3\n",
+                    "ring:Z" + "9" * 5000):
             with pytest.raises(H.UnknownFixtureError):
                 H.fixture(bad)
 
     def test_fixture_cache(self):
-        assert H.fixture("ring:Z6") is H.fixture("ring:Z6")
+        # no cache: each call builds an equal fixture of its own
+        first, second = H.fixture("ring:Z6"), H.fixture("ring:Z6")
+        assert first == second and first is not second
 
     def test_product_fixture_records_factors(self):
         fx = H.fixture("ring:Z4xZ3")
-        assert fx.factors == ("ring:Z4", "ring:Z3")
+        assert fx.factors == (H.fixture("ring:Z4"), H.fixture("ring:Z3"))

@@ -13,7 +13,6 @@ from hyperlab.core import (
     insert_sorted,
     multiset_splits,
     multisets,
-    remove_one,
     sorted_key,
 )
 
@@ -60,9 +59,6 @@ class TestMultisetHelpers:
         assert insert_sorted((1, 3), 0) == (0, 1, 3)
         assert insert_sorted((1, 3), 5) == (1, 3, 5)
         assert insert_sorted((), 5) == (5,)
-
-    def test_remove_one(self):
-        assert remove_one((1, 1, 2), 1) == (1, 2)
 
     def test_multisets_count(self):
         got = list(multisets(4, 3))

@@ -25,16 +25,6 @@ def test_serialization_is_deterministic(z6):
     assert H.serialize(z6).endswith("\n")
 
 
-@pytest.mark.parametrize("name", ["paper-2-4", "paper-3-3"])
-def test_packaged_documents_match_fixtures(name):
-    assert H.load_packaged(name) == H.fixture(name).structure
-
-
-def test_packaged_unknown_name():
-    with pytest.raises(H.LoadError):
-        H.load_packaged("no-such-structure")
-
-
 def test_dump_and_load(tmp_path, z4):
     path = tmp_path / "z4.json"
     H.dump_structure(z4, path)
@@ -101,6 +91,11 @@ def test_malformed_headers_rejected():
         lambda d: d.pop("m"),
         lambda d: d.pop("zero"),
         lambda d: d.update(m="two"),
+        lambda d: d.update(m="3"),
+        lambda d: d.update(m=2.7),
+        lambda d: d.update(n=2.0),
+        lambda d: d.update(n=True),
+        lambda d: d.update(m=None),
         lambda d: d.update(carrier="0123"),
         lambda d: d.pop("f"),
     ):
