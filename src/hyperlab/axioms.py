@@ -21,7 +21,7 @@ from .core import (
     multiset_splits,
     multisets,
 )
-from .errors import ArityError, TableError
+from .errors import ArityError
 
 AXIOM_ORDER = (
     "F_VALUE_EMPTY",
@@ -102,10 +102,7 @@ def _neutral_violations(a: HyperStructure, first: bool) -> list[AxiomViolation]:
     if out:
         return out
     for e in range(a.size):
-        if e == a.zero:
-            continue
-        pad = (e,) * (a.m - 1)
-        if all(a.f_table[tuple(sorted((x,) + pad))].mask == 1 << x for x in range(a.size)):
+        if e != a.zero and _is_scalar_neutral(a, e):
             out.append(AxiomViolation(
                 "NEUTRAL", (e,),
                 f"{a.names[e]} is a second scalar neutral besides zero",
@@ -263,13 +260,17 @@ def _assoc_f_step(a: HyperStructure, first: bool) -> list[AxiomViolation]:
     return _assoc_violations(a, "ASSOC_F", first)
 
 
+def _assoc_g_step(a: HyperStructure, first: bool) -> list[AxiomViolation]:
+    return _assoc_violations(a, "ASSOC_G", first)
+
+
 def check_krasner(a: HyperStructure, first_violation: bool = False) -> list[AxiomViolation]:
     """Full structure check: canonical hypergroup plus the g-side axioms."""
     out = check_canonical_hypergroup(a, first_violation)
     if first_violation and out:
         return out[:1]
     for step in (
-        lambda s, f: _assoc_violations(s, "ASSOC_G", f),
+        _assoc_g_step,
         _distrib_violations,
         _zero_absorb_violations,
         _one_identity_violations,
@@ -370,10 +371,3 @@ def iterate_g(a: HyperStructure, level: int, args: Sequence[int]) -> int:
         acc = a.eval_g((acc,) + tuple(chunk))
         pos += a.n - 1
     return acc
-
-
-def require_valid(a: HyperStructure) -> None:
-    """Raise if the structure fails the full check (used by constructions)."""
-    violations = check_krasner(a, first_violation=True)
-    if violations:
-        raise TableError(f"structure fails axiom check: {violations[0].detail}")

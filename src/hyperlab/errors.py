@@ -51,11 +51,3 @@ class NotMultiplicative(HyperlabError):
 
 class CapacityError(HyperlabError):
     """An exhaustive scan would exceed the configured budget."""
-
-
-class StructureInvalid(HyperlabError):
-    """A constructed structure failed re-validation against the axioms."""
-
-    def __init__(self, message, violations=()):
-        super().__init__(message)
-        self.violations = tuple(violations)

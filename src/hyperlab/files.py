@@ -51,6 +51,10 @@ def document_to_structure(doc: object) -> HyperStructure:
         if type(arity) is not int:
             raise LoadError(f"malformed document header: {key} must be an "
                             f"integer, got {type(arity).__name__}")
+    name = doc.get("name", "")
+    if not isinstance(name, str):
+        raise LoadError(f"malformed document header: name must be a "
+                        f"string, got {type(name).__name__}")
     if (not isinstance(carrier, list)
             or not all(isinstance(x, str) for x in carrier)):
         raise LoadError("carrier must be a list of element names")
@@ -85,7 +89,7 @@ def document_to_structure(doc: object) -> HyperStructure:
     try:
         return HyperStructure.from_tables(
             m, n, tuple(carrier), f_entries, g_entries, zero, one,
-            label=str(doc.get("name", "")))
+            label=name)
     except ValueError as exc:
         raise LoadError(str(exc)) from exc
 

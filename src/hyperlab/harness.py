@@ -45,7 +45,13 @@ from .constructions import (
     product_ideal,
     substructure,
 )
-from .core import ElementSet, HyperStructure, graded_multisets, multiset_splits
+from .core import (
+    MAX_CARRIER,
+    ElementSet,
+    HyperStructure,
+    graded_multisets,
+    multiset_splits,
+)
 from .errors import (
     CapacityError,
     DisjointnessViolated,
@@ -138,7 +144,12 @@ class StructureContext:
     def triple(self) -> HyperStructure:
         """This product times its first factor, for the 3-factor statement."""
         f1 = self.factors[0]
-        return product(self.structure, f1.structure, label=f"{self.name}x{f1.name}")
+        label = f"{self.name}x{f1.name}"
+        size = self.structure.size * f1.structure.size
+        if size > MAX_CARRIER:
+            raise CapacityError(f"{label} has {size} elements, over the "
+                                f"{MAX_CARRIER}-element cap")
+        return product(self.structure, f1.structure, label=label)
 
 
 def build_context(name: str, mult_cap: int = MULT_SIZE_CAP) -> StructureContext:
@@ -553,6 +564,7 @@ def _corpus_homomorphisms(corpus):
 def _gen_p15(corpus):
     for label, hom, src, tgt in _corpus_homomorphisms(corpus):
         a1, a2 = hom.source, hom.target
+        embedding = hom.is_homomorphism() and hom.is_injective()
         for s in src.mult_sets:
             hs = hom.map_set(s)
             for q2 in tgt.lattice.proper():
@@ -560,12 +572,12 @@ def _gen_p15(corpus):
                     continue
                 desc = (f"{label}: S={_render(a1, s)} "
                         f"Q2={_render(a2, q2)}")
-                yield desc, dict(hom=hom, s=s, q2=q2)
+                yield desc, dict(hom=hom, embedding=embedding, s=s, q2=q2)
 
 
-def _eval_p15(hom, s, q2, budget=None):
+def _eval_p15(hom, embedding, s, q2, budget=None):
     a1, a2 = hom.source, hom.target
-    if not hom.is_homomorphism() or not hom.is_injective():
+    if not embedding:
         return SKIPPED, "map is not an embedding", None
     hs = hom.map_set(s)
     if not is_weakly_s_prime(a2, q2, hs).holds:

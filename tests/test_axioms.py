@@ -45,11 +45,6 @@ class TestPrintedTablesDiscrepancy:
         only = H.check_krasner(ex33, first_violation=True)
         assert only == full[:1]
 
-    def test_require_valid(self, ex33, z6):
-        H.require_valid(z6)
-        with pytest.raises(H.TableError):
-            H.require_valid(ex33)
-
 
 class TestMutations:
     def test_madar_f_mutation_breaks_inverses(self, madar):

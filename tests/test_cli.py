@@ -227,6 +227,12 @@ class TestTheorems:
         doc = json.loads(out1)
         assert doc["summary"]["counterexamples"] == 0
 
+    def test_triple_over_the_carrier_cap(self, capsys):
+        # the P18 triple ring:Z5xZ3 x ring:Z5 would have 75 elements
+        code, out, err = run_cli(capsys, "theorems", "--corpus", "ring:Z5xZ3")
+        assert (code, err) == (0, "")
+        assert "64-element cap" in out
+
     def test_corpus_flags_exclusive(self, capsys):
         code, _, _ = run_cli(capsys, "theorems", "--corpus", "none",
                              "--default-corpus")

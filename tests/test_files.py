@@ -96,6 +96,8 @@ def test_malformed_headers_rejected():
         lambda d: d.update(n=2.0),
         lambda d: d.update(n=True),
         lambda d: d.update(m=None),
+        lambda d: d.update(name=None),
+        lambda d: d.update(name=json.loads("[" * 900 + "]" * 900)),
         lambda d: d.update(carrier="0123"),
         lambda d: d.pop("f"),
     ):

@@ -108,6 +108,19 @@ class TestStatusEdges:
         assert by_property(reports, "P1")
         assert not any(r.status == H.COUNTEREXAMPLE for r in reports)
 
+    def test_triple_over_the_carrier_cap_is_skipped(self):
+        reports = H.run_suite(["ring:Z5xZ3"], property_ids=("P18",))
+        p18 = by_property(reports, "P18")
+        assert p18 and {r.status for r in p18} == {H.SKIPPED}
+        assert all("64-element cap" in r.reason for r in p18)
+
+    def test_product_triples_are_valid(self, corpus):
+        # products are built without a scan; this is their oracle
+        triples = [ctx.triple for ctx in corpus if ctx.factors]
+        assert [t.size for t in triples] == [12, 48]
+        for triple in triples:
+            assert H.check_krasner(triple) == []
+
 
 class TestSearch:
     def test_separation_found(self):
