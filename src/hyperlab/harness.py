@@ -80,6 +80,7 @@ from .predicates import (
     multiplicative_subsets,
     strongly_associated,
 )
+from .verdict import Verdict
 
 DEFAULT_CORPUS = (
     "paper-2-4",
@@ -118,7 +119,8 @@ class Instance:
 @dataclass
 class StructureContext:
     """A fixture prepared for the suite: validity scan, lattice, mult sets,
-    and for a product fixture the contexts of its two factors."""
+    for a product fixture the contexts of its two factors, and the memo of
+    the predicate verdicts decided on it so far (see ``_verdict``)."""
 
     fixture: Fixture
     violations: tuple
@@ -126,6 +128,7 @@ class StructureContext:
     lattice_error: str
     mult_sets: tuple[ElementSet, ...]
     factors: tuple[StructureContext, StructureContext] | None = None
+    verdicts: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def name(self) -> str:
@@ -179,6 +182,28 @@ def build_corpus(names, mult_cap: int = MULT_SIZE_CAP) -> list[StructureContext]
 
 def _render(a: HyperStructure, subset: ElementSet) -> str:
     return subset.render(a.names)
+
+
+def _verdict(ctx: StructureContext, predicate, q: ElementSet,
+             s: ElementSet | None = None, lattice: IdealLattice | None = None,
+             budget: int | None = None) -> Verdict:
+    """``predicate(ctx.structure, q[, s][, lattice, budget])``, decided once
+    per context.
+
+    Callers pass the predicate by its name in this module, so a wrapper
+    bound over that name (a tracer, a test) sees every question the memo
+    has not answered yet.  The key is the predicate's name, Q, S and the
+    budget (which only the ideal-level predicate, given the lattice, reads).
+    A call that raises is not memoised.
+    """
+    key = (predicate.__name__, q.mask, None if s is None else s.mask, budget)
+    verdict = ctx.verdicts.get(key)
+    if verdict is None:
+        args = (q,) if s is None else (q, s)
+        if lattice is not None:
+            args += (lattice, budget)
+        verdict = ctx.verdicts[key] = predicate(ctx.structure, *args)
+    return verdict
 
 
 def _bool_by_convention(fn, *args, **kwargs) -> bool:
@@ -252,9 +277,9 @@ def _strongly_weakly_only(ctx, q, s, budget, reasons) -> str:
     unit = s is None
     if unit:
         s = ElementSet.single(a.one, a.size)
-    if not is_strongly_weakly_s_prime(a, q, s, ctx.lattice, budget).holds:
+    if not _verdict(ctx, is_strongly_weakly_s_prime, q, s, ctx.lattice, budget).holds:
         return reasons[0]
-    if (is_prime(a, q) if unit else is_s_prime(a, q, s)).holds:
+    if (_verdict(ctx, is_prime, q) if unit else _verdict(ctx, is_s_prime, q, s)).holds:
         return reasons[1]
     return ""
 
@@ -280,10 +305,10 @@ def _gen_p1(corpus):
 
 def _eval_p1(ctx, q, s, js, budget=None):
     a = ctx.structure
-    if not is_weakly_s_prime(a, q, s).holds:
+    if not _verdict(ctx, is_weakly_s_prime, q, s).holds:
         return SKIPPED, "Q is not weakly S-prime", None
     image = a.eval_g_on_sets([ctx.lattice[j] for j in js] + [q])
-    ok = _bool_by_convention(is_weakly_s_prime, a, image, s)
+    ok = _bool_by_convention(_verdict, ctx, is_weakly_s_prime, image, s)
     cert = {"image": _render(a, image)}
     return _outcome(ok, "product set lost weak S-primeness", cert)
 
@@ -301,10 +326,10 @@ def _gen_p2(corpus):
 
 def _eval_p2(ctx, q, s, p, budget=None):
     a = ctx.structure
-    if not is_weakly_s_prime(a, q, s).holds:
+    if not _verdict(ctx, is_weakly_s_prime, q, s).holds:
         return SKIPPED, "Q is not weakly S-prime", None
     meet = q & p
-    ok = _bool_by_convention(is_weakly_s_prime, a, meet, s)
+    ok = _bool_by_convention(_verdict, ctx, is_weakly_s_prime, meet, s)
     cert = {"intersection": _render(a, meet)}
     return _outcome(ok, "intersection lost weak S-primeness", cert)
 
@@ -316,12 +341,12 @@ def _eval_p3(ctx, q, s, budget=None):
         quotient = colon(a, q, cand)
         if quotient.mask == a.full_set().mask:
             continue
-        if is_weakly_prime(a, quotient).holds:
+        if _verdict(ctx, is_weakly_prime, quotient).holds:
             chosen = cand
             break
     if chosen is None:
         return SKIPPED, "no s in S with a weakly prime colon ideal", None
-    verdict = is_weakly_s_prime(a, q, s)
+    verdict = _verdict(ctx, is_weakly_s_prime, q, s)
     cert = {"s": a.names[chosen],
             "colon": _render(a, colon(a, q, chosen))}
     if verdict.holds:
@@ -342,8 +367,8 @@ def _eval_p4(ctx, s, budget=None):
 
     def collapses(predicate) -> bool:
         # every Q with the S-property is prime
-        return all(is_prime(a, q).holds for q in disjoint
-                   if predicate(a, q, s).holds)
+        return all(_verdict(ctx, is_prime, q).holds for q in disjoint
+                   if _verdict(ctx, predicate, q, s).holds)
 
     lhs = collapses(is_weakly_s_prime)
     rhs = is_hyperintegral_domain(a).holds and collapses(is_s_prime)
@@ -378,9 +403,9 @@ def _eval_p5(ctx, s, t, q, budget=None):
     a = ctx.structure
     if not _transfer_condition(a, s, t):
         return SKIPPED, "power-partner condition between S and T fails", None
-    if not is_weakly_s_prime(a, q, t).holds:
+    if not _verdict(ctx, is_weakly_s_prime, q, t).holds:
         return SKIPPED, "Q is not weakly T-prime", None
-    verdict = is_weakly_s_prime(a, q, s)
+    verdict = _verdict(ctx, is_weakly_s_prime, q, s)
     if verdict.holds:
         return VERIFIED, "", None
     return COUNTEREXAMPLE, "weak T-primeness did not shrink to S", {
@@ -393,7 +418,7 @@ def _eval_p6(ctx, q, s, budget=None):
     a = ctx.structure
     zero_mask = 1 << a.zero
     associated = [cand for cand in s
-                  if strongly_associated(a, q, cand, ctx.lattice)]
+                  if strongly_associated(a, q, cand, ctx.lattice, budget)]
     if not associated:
         return SKIPPED, "no s in S passes the ideal-wise zero test", None
     checked = 0
@@ -436,7 +461,7 @@ def _eval_power_zero(ctx, q, s=None, budget=None):
 
 def _eval_p8(ctx, q, s, budget=None):
     a = ctx.structure
-    if not is_strongly_weakly_s_prime(a, q, s, ctx.lattice, budget).holds:
+    if not _verdict(ctx, is_strongly_weakly_s_prime, q, s, ctx.lattice, budget).holds:
         return SKIPPED, "Q is not strongly weakly S-prime", None
     rad0 = _zero_radical(ctx)
     if q <= rad0:
@@ -451,9 +476,8 @@ def _eval_p8(ctx, q, s, budget=None):
 
 
 def _eval_p10(ctx, q, s, budget=None):
-    a = ctx.structure
-    direct = is_strongly_weakly_s_prime(a, q, s, ctx.lattice, budget)
-    via_colon = is_strongly_weakly_s_prime_colon(a, q, s)
+    direct = _verdict(ctx, is_strongly_weakly_s_prime, q, s, ctx.lattice, budget)
+    via_colon = _verdict(ctx, is_strongly_weakly_s_prime_colon, q, s)
     cert = {"direct": bool(direct.holds), "colon": bool(via_colon.holds)}
     return _outcome(bool(direct.holds) == bool(via_colon.holds),
                     "direct and colon routes disagree", cert)
@@ -462,8 +486,8 @@ def _eval_p10(ctx, q, s, budget=None):
 def _eval_p11(ctx, q, budget=None):
     a = ctx.structure
     unit = ElementSet.single(a.one, a.size)
-    direct = bool(is_strongly_weakly_s_prime(a, q, unit, ctx.lattice,
-                                             budget).holds)
+    direct = bool(_verdict(ctx, is_strongly_weakly_s_prime, q, unit,
+                           ctx.lattice, budget).holds)
     by_equality = True
     by_inclusion = True
     for x in range(a.size):
@@ -609,8 +633,7 @@ def _gen_p16(corpus):
 
 
 def _eval_p16(ctx, sub, incl, s_sub, s_par, q2, budget=None):
-    a = ctx.structure
-    if not is_weakly_s_prime(a, q2, s_par).holds:
+    if not _verdict(ctx, is_weakly_s_prime, q2, s_par).holds:
         return SKIPPED, "ideal is not weakly S-prime in the big structure", None
     meet = preimage_ideal(incl, q2)
     ok = _bool_by_convention(is_weakly_s_prime, sub, meet, s_sub)
@@ -640,14 +663,14 @@ def _gen_p17(corpus):
 
 
 def _eval_p17(ctx, f1, f2, q1, q2, s1, s2, budget=None):
-    a, a1, a2 = ctx.structure, f1.structure, f2.structure
+    a1, a2 = f1.structure, f2.structure
     big_q = product_ideal(a1, a2, q1, q2)
     big_s = product_ideal(a1, a2, s1, s2)
-    weakly = _bool_by_convention(is_weakly_s_prime, a, big_q, big_s)
-    plain = _bool_by_convention(is_s_prime, a, big_q, big_s)
-    left = (_bool_by_convention(is_s_prime, a1, q1, s1)
+    weakly = _bool_by_convention(_verdict, ctx, is_weakly_s_prime, big_q, big_s)
+    plain = _bool_by_convention(_verdict, ctx, is_s_prime, big_q, big_s)
+    left = (_bool_by_convention(_verdict, f1, is_s_prime, q1, s1)
             and bool(q2 & s2))
-    right = (_bool_by_convention(is_s_prime, a2, q2, s2)
+    right = (_bool_by_convention(_verdict, f2, is_s_prime, q2, s2)
              and bool(q1 & s1))
     split = left or right
     cert = {"weakly": weakly, "split": split, "plain": plain}
@@ -686,10 +709,10 @@ def _eval_p18(ctx, qs, ss, budget=None):
     big_q = product_ideal(ctx.structure, a1, pair_q, q3)
     big_s = product_ideal(ctx.structure, a1, pair_s, s3)
     lhs = _bool_by_convention(is_weakly_s_prime, triple, big_q, big_s)
-    factors = ((a1, q1, s1), (a2, q2, s2), (a1, q3, s3))
+    factors = ((f1, q1, s1), (f2, q2, s2), (f1, q3, s3))
     rhs = False
-    for i, (ai, qi, si) in enumerate(factors):
-        if not _bool_by_convention(is_s_prime, ai, qi, si):
+    for i, (fi, qi, si) in enumerate(factors):
+        if not _bool_by_convention(_verdict, fi, is_s_prime, qi, si):
             continue
         if all(bool(qj & sj) for j, (_, qj, sj) in enumerate(factors) if j != i):
             rhs = True
@@ -724,7 +747,7 @@ def _eval_p19(ctx, f1, f2, s1, s2, p, budget=None):
     big_s = product_ideal(f1.structure, f2.structure, s1, s2)
     if p & big_s:
         return SKIPPED, "ideal meets S1 x S2", None
-    verdict = is_weakly_s_prime(a, p, big_s)
+    verdict = _verdict(ctx, is_weakly_s_prime, p, big_s)
     if verdict.holds:
         return VERIFIED, "", None
     return COUNTEREXAMPLE, "proper ideal is not weakly S-prime", {

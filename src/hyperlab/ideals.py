@@ -15,6 +15,7 @@ can be computed by intersection.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations_with_replacement
 
 from .core import ElementSet, HyperStructure, insert_sorted, multisets, sorted_key
@@ -102,6 +103,25 @@ class IdealLattice:
     def proper(self) -> tuple[ElementSet, ...]:
         full = self.structure.full_set().mask
         return tuple(s for s in self.sets if s.mask != full)
+
+    @cached_property
+    def products(self) -> tuple[tuple[tuple[int, ...], int, int], ...]:
+        """(multiset, support mask, product mask) for every n-multiset of
+        lattice indices: the ideal product g(L_i1, ..., L_in) as a carrier
+        mask and the set of indices it uses as a lattice-index mask.
+
+        Built on first use and kept for the lattice's lifetime; it has
+        C(len + n - 1, n) rows, so callers check their scan budget first.
+        """
+        a = self.structure
+        rows = []
+        for ms in multisets(len(self.sets), a.n):
+            support = 0
+            for i in ms:
+                support |= 1 << i
+            product = a.eval_g_on_sets([self.sets[i] for i in ms])
+            rows.append((ms, support, product.mask))
+        return tuple(rows)
 
 
 def _forced_masks(a: HyperStructure) -> list[int]:

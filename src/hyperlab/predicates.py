@@ -1,16 +1,30 @@
 """Prime-type predicates over hyperideals, with certificates.
 
-All universal scans run over sorted multisets (commutative tables make that
-lossless) in a graded order: multisets with more distinct entries come
-first, ties broken lexicographically.  Counterexamples are therefore
+Universal scans run over sorted multisets (commutative tables make that
+lossless).  Counterexamples come first in a graded order: multisets with
+more distinct entries first, ties broken lexicographically, so they are
 deterministic and favour witnesses whose entries differ.
 
-The S-flavoured predicates share one quantifier shape: there must exist a
-single s in S that handles every qualifying tuple.  ``_some_s_handles_all``
-is that quantifier for the element-level and the ideal-level scans, and
-for weakly prime as the case S = {1}.  A negative verdict carries the
-first tuple that defeats every s at once when such a tuple exists;
-otherwise the verdict explains that each s fails on its own tuple.
+The S-flavoured predicates ask for one s in S that handles every
+qualifying multiset, and they decide it on colon masks (the colon view of
+S-primality: Q is S-prime iff some (Q : s) is prime, Hamed & Malek 2020).
+Each qualifying multiset is a row with its support mask; for s in S,
+P_s = {x : g(s, x, 1^(n-2)) in Q} is the colon (Q : s), and s handles a
+row exactly when the row's support meets P_s.
+
+* Element level (S-prime, weakly S-prime, and weakly prime as S = {1}):
+  the rows are the g-table entries whose value lies in Q (and is nonzero
+  for the weakly variants).
+* Ideal level (strongly weakly S-prime, ``strongly_associated``): the rows
+  are the lattice-index n-multisets whose ideal product is nonzero and
+  inside Q, read from the lattice's ``products`` table; s handles a factor
+  ideal L_i when s * L_i lies in Q, that is when L_i lies in P_s.
+
+``_one_colon_meets_all`` is that quantifier.  It computes P_s only once a
+qualifying row exists, so ``IdentityRequired`` stays as lazy as the
+definition.  A negative verdict carries the graded-first row that misses
+every P_s at once when one exists; otherwise the verdict explains that
+each s fails on its own multiset.
 
 ``PREDICATES`` is the one registry of named predicates: ``classify``,
 ``evaluate_predicate``, ``CLASSIFY_KEYS`` and the CLI choices all read it.
@@ -29,7 +43,7 @@ from .errors import (
     IdentityRequired,
     NotProper,
 )
-from .ideals import IdealLattice, colon, colon_zero, radical, scaled, scaled_set
+from .ideals import IdealLattice, _identity_pad, colon, colon_zero, radical
 from .verdict import Verdict
 
 DEFAULT_IDEAL_SCAN_BUDGET = 10 ** 7
@@ -101,42 +115,65 @@ def is_primary(a: HyperStructure, q: ElementSet, lattice: IdealLattice) -> Verdi
     return Verdict(True)
 
 
-def _some_s_handles_all(tuples, candidates, handles, what: str = "tuple") -> Verdict:
-    """Does one s in `candidates` handle every tuple?  ``handles(s, t)``
-    decides a single pair.
+def _graded(row: tuple[int, tuple[int, ...]]) -> tuple[int, tuple[int, ...]]:
+    # graded order of a (support mask, multiset) row: most distinct entries first
+    support, ms = row
+    return len(ms) - support.bit_count(), ms
 
-    `tuples` is consumed lazily and the scan stops once a tuple has
-    defeated every s at once and no s is left standing.
+
+def _one_colon_meets_all(rows, candidates, colon_of, what: str = "tuple") -> Verdict:
+    """Does one s in `candidates` handle every row?
+
+    ``rows`` are the (support mask, multiset) pairs of the qualifying
+    multisets; ``colon_of(s)`` is the mask of what s sends into Q, and s
+    handles a row when its support meets that mask.  ``colon_of`` is called
+    only when a row exists, in candidate order, and the first s that
+    handles every row is the witness.
     """
-    alive = set(candidates)
-    counterexample = None
-    vacuous = True
-    for t in tuples:
-        vacuous = False
-        defeated = [c for c in candidates if not handles(c, t)]
-        alive.difference_update(defeated)
-        if counterexample is None and len(defeated) == len(candidates):
-            counterexample = t
-        if counterexample is not None and not alive:
-            break
-    if vacuous:
+    if not rows:
         return Verdict(True, note="vacuously true")
-    if alive:
-        return Verdict(True, witness_s=min(alive))
-    if counterexample is not None:
-        return Verdict(False, counterexample=counterexample)
+    supports = {support for support, _ in rows}
+    union = 0
+    for c in candidates:
+        colon_mask = colon_of(c)
+        if all(support & colon_mask for support in supports):
+            return Verdict(True, witness_s=c)
+        union |= colon_mask
+    missed = [row for row in rows if not row[0] & union]
+    if missed:
+        return Verdict(False, counterexample=min(missed, key=_graded)[1])
     return Verdict(False, note=f"every s fails, each on its own {what}")
+
+
+def _colon_mask(a: HyperStructure, q: ElementSet, c: int) -> int:
+    """P_c = {x : g(c, x, 1^(n-2)) in Q}, the colon (Q : c), as a mask."""
+    pad = _identity_pad(a, a.n - 2, "scaled product")
+    g_table, q_mask, mask = a.g_table, q.mask, 0
+    for x in range(a.size):
+        if q_mask >> g_table[sorted_key((c, x) + pad)] & 1:
+            mask |= 1 << x
+    return mask
+
+
+def _element_rows(a: HyperStructure, q: ElementSet, weakly: bool) -> list:
+    """(support mask, multiset) of each g-table entry whose value lies in Q,
+    nonzero when `weakly`."""
+    q_mask = q.mask & ~(1 << a.zero) if weakly else q.mask
+    rows = []
+    for ms, value in a.g_table.items():
+        if q_mask >> value & 1:
+            support = 0
+            for x in ms:
+                support |= 1 << x
+            rows.append((support, ms))
+    return rows
 
 
 def _element_scan(a: HyperStructure, q: ElementSet, s: ElementSet,
                   weakly: bool) -> Verdict:
     _require_disjoint(a, q, s)
-    qualifying = (ms for ms in graded_multisets(range(a.size), a.n)
-                  if a.g_table[ms] in q
-                  and not (weakly and a.g_table[ms] == a.zero))
-    return _some_s_handles_all(
-        qualifying, s.indices(),
-        lambda c, ms: any(scaled(a, c, x) in q for x in set(ms)))
+    return _one_colon_meets_all(_element_rows(a, q, weakly), s.indices(),
+                                lambda c: _colon_mask(a, q, c))
 
 
 def is_s_prime(a: HyperStructure, q: ElementSet, s: ElementSet) -> Verdict:
@@ -152,37 +189,46 @@ def is_weakly_s_prime(a: HyperStructure, q: ElementSet, s: ElementSet) -> Verdic
 def is_weakly_prime(a: HyperStructure, q: ElementSet) -> Verdict:
     """Weakly S-prime with the identity as the only scaling element."""
     _require_proper(a, q)
-    qualifying = (ms for ms in graded_multisets(range(a.size), a.n)
-                  if a.g_table[ms] in q and a.g_table[ms] != a.zero)
 
-    def handles(one, ms):
-        if one is None and a.n > 2:
+    def colon_of(one):
+        if one is not None:
+            return _colon_mask(a, q, one)
+        if a.n > 2:
             raise IdentityRequired("weakly prime needs a scalar identity when n > 2")
-        return any((x if one is None else scaled(a, one, x)) in q for x in set(ms))
+        return q.mask
 
-    return _some_s_handles_all(qualifying, (a.one,), handles)
-
-
-def _ideal_tuples_into(a: HyperStructure, q: ElementSet, lattice: IdealLattice):
-    """Lattice-index n-multisets whose ideal product is nonzero and inside Q."""
-    zero_mask = 1 << a.zero
-    for ms in graded_multisets(range(len(lattice)), a.n):
-        image = a.eval_g_on_sets([lattice[i] for i in ms])
-        if image.mask != zero_mask and image.issubset(q):
-            yield ms
+    return _one_colon_meets_all(_element_rows(a, q, weakly=True), (a.one,), colon_of)
 
 
-def _scaled_factor_inside(a: HyperStructure, q: ElementSet, lattice: IdealLattice):
-    """handles(s, ms): some factor ideal of ms, scaled by s, lies inside Q."""
-    return lambda c, ms: any(scaled_set(a, c, lattice[i]).issubset(q)
-                             for i in set(ms))
+def _require_budget(a: HyperStructure, lattice: IdealLattice,
+                    budget: int | None) -> None:
+    limit = DEFAULT_IDEAL_SCAN_BUDGET if budget is None else budget
+    if len(lattice) ** a.n > limit:
+        raise CapacityError(
+            f"{len(lattice)}^{a.n} ideal tuples exceed the scan budget {limit}")
+
+
+def _ideal_scan(a: HyperStructure, q: ElementSet, candidates,
+                lattice: IdealLattice, what: str = "tuple") -> Verdict:
+    """The quantifier over lattice-index multisets whose ideal product is
+    nonzero and inside Q; s handles a factor L_i when L_i lies in P_s."""
+    zero_mask, outside = 1 << a.zero, ~q.mask
+    rows = [(support, ms) for ms, support, product in lattice.products
+            if product != zero_mask and not product & outside]
+
+    def colon_of(c):
+        inside = ~_colon_mask(a, q, c)
+        return sum(1 << i for i, ideal in enumerate(lattice.sets)
+                   if not ideal.mask & inside)
+
+    return _one_colon_meets_all(rows, candidates, colon_of, what)
 
 
 def strongly_associated(a: HyperStructure, q: ElementSet, s_elt: int,
-                        lattice: IdealLattice) -> bool:
+                        lattice: IdealLattice, budget: int | None = None) -> bool:
     """Inner check of the strongly-weakly definition for one fixed s."""
-    return bool(_some_s_handles_all(_ideal_tuples_into(a, q, lattice), (s_elt,),
-                                    _scaled_factor_inside(a, q, lattice)).holds)
+    _require_budget(a, lattice, budget)
+    return bool(_ideal_scan(a, q, (s_elt,), lattice).holds)
 
 
 def is_strongly_weakly_s_prime(a: HyperStructure, q: ElementSet, s: ElementSet,
@@ -191,13 +237,8 @@ def is_strongly_weakly_s_prime(a: HyperStructure, q: ElementSet, s: ElementSet,
     """Ideal-level variant: nonzero ideal products inside Q force some
     scaled factor ideal inside Q."""
     _require_disjoint(a, q, s)
-    limit = DEFAULT_IDEAL_SCAN_BUDGET if budget is None else budget
-    if len(lattice) ** a.n > limit:
-        raise CapacityError(
-            f"{len(lattice)}^{a.n} ideal tuples exceed the scan budget {limit}")
-    verdict = _some_s_handles_all(_ideal_tuples_into(a, q, lattice), s.indices(),
-                                  _scaled_factor_inside(a, q, lattice),
-                                  what="ideal tuple")
+    _require_budget(a, lattice, budget)
+    verdict = _ideal_scan(a, q, s.indices(), lattice, what="ideal tuple")
     if verdict.counterexample is None:
         return verdict
     return replace(verdict, note="counterexample holds hyperideal indices",

@@ -2,6 +2,12 @@ import pytest
 
 import hyperlab as H
 
+# every fixture of 16 elements or fewer
+SMALL_FIXTURES = (
+    ["paper-2-4", "paper-3-3", "paper-3-3-s1"]
+    + [f"ring:Z{k}" for k in range(2, 17)]
+    + [f"ring:Z{j}xZ{k}" for j in range(2, 9) for k in range(2, 9) if j * k <= 16])
+
 
 @pytest.fixture(scope="session")
 def madar():

@@ -189,6 +189,14 @@ class TestIdeals:
         assert doc["ideals"][0] == {"elements": ["0"], "prime": False}
         assert sum(row["prime"] for row in doc["ideals"]) == 2
 
+    def test_listing_never_builds_the_product_table(self, capsys, monkeypatch):
+        def refuse(lattice):
+            raise AssertionError("ideals asked for the ideal-product table")
+
+        monkeypatch.setattr(H.IdealLattice, "products", property(refuse))
+        code, out, _ = run_cli(capsys, "ideals", "--fixture", "ring:Z12", "--json")
+        assert code == 0 and json.loads(out)
+
     def test_carrier_above_twenty_elements(self, capsys):
         code, out, _ = run_cli(capsys, "ideals", "--fixture", "ring:Z24",
                                "--json")

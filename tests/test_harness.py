@@ -1,5 +1,6 @@
 """Statement suite: instance generation, statuses, and report rendering."""
 
+import functools
 import json
 
 import pytest
@@ -101,6 +102,13 @@ class TestStatusEdges:
         assert skipped
         assert {r.property_id for r in skipped} <= set(H.PROPERTY_IDS)
 
+    def test_p6_respects_the_ideal_scan_budget(self):
+        reports = H.run_suite(["ring:Z12"], budget=1, property_ids=("P6", "P8"))
+        p6, p8 = by_property(reports, "P6"), by_property(reports, "P8")
+        assert len(p6) == len(p8) == 67
+        assert {(r.status, r.reason) for r in p6} == {(r.status, r.reason) for r in p8}
+        assert p6[0].reason.startswith("budget exceeded: 6^2 ideal tuples")
+
     def test_carrier_above_twenty_elements_gets_a_lattice(self):
         reports = H.run_suite(("ring:Z24",), property_ids=("P1",))
         axioms = by_property(reports, "AXIOMS")[0]
@@ -120,6 +128,68 @@ class TestStatusEdges:
         assert [t.size for t in triples] == [12, 48]
         for triple in triples:
             assert H.check_krasner(triple) == []
+
+
+def counting(monkeypatch, name):
+    """Rebind harness.<name> to a wrapper that records each call's (Q, S)."""
+    original = getattr(harness, name)
+    asked = []
+
+    @functools.wraps(original)
+    def wrapper(a, q, s=None, *rest):
+        asked.append((q.mask, s and s.mask))
+        return original(a, q, *(() if s is None else (s,)), *rest)
+
+    monkeypatch.setattr(harness, name, wrapper)
+    return asked
+
+
+class TestVerdictMemo:
+    def test_reports_equal_a_run_without_the_memo(self, monkeypatch):
+        memoised = H.run_suite(["ring:Z2xZ4"])
+
+        def undecided(ctx, predicate, q, s=None, lattice=None, budget=None):
+            args = (q,) if s is None else (q, s)
+            args += () if lattice is None else (lattice, budget)
+            return predicate(ctx.structure, *args)
+
+        monkeypatch.setattr(harness, "_verdict", undecided)
+        assert H.run_suite(["ring:Z2xZ4"]) == memoised
+
+    def test_a_repeated_question_is_not_asked_again(self, monkeypatch):
+        asked = counting(monkeypatch, "is_weakly_s_prime")
+        corpus = H.build_corpus(["ring:Z12"])
+        instances = H.generate_instances("P2", corpus)
+        for inst in instances:
+            H.run_property("P2", inst)
+        # every P2 instance asks about its (Q, S) and about Q meet P
+        assert len(asked) == len(set(asked)) < 2 * len(instances)
+        ctx, q, s = corpus[0], instances[0].payload["q"], instances[0].payload["s"]
+        first = harness._verdict(ctx, harness.is_weakly_s_prime, q, s)
+        assert harness._verdict(ctx, harness.is_weakly_s_prime, q, s) is first
+        assert asked.count((q.mask, s.mask)) == 1
+
+    def test_the_ideal_level_key_holds_the_budget(self, monkeypatch):
+        asked = counting(monkeypatch, "is_strongly_weakly_s_prime")
+        ctx = H.build_context("ring:Z12")
+        q, s = ctx.lattice[0], ctx.mult_sets[0]
+        verdict = harness._verdict(ctx, harness.is_strongly_weakly_s_prime, q, s,
+                                   ctx.lattice)
+        with pytest.raises(H.CapacityError):
+            harness._verdict(ctx, harness.is_strongly_weakly_s_prime, q, s,
+                             ctx.lattice, 1)
+        assert harness._verdict(ctx, harness.is_strongly_weakly_s_prime, q, s,
+                                ctx.lattice) is verdict
+        assert len(asked) == 2
+
+    def test_raising_calls_are_not_memoised(self, monkeypatch):
+        asked = counting(monkeypatch, "is_s_prime")
+        ctx = H.build_context("ring:Z6")
+        q, s = ctx.structure.subset([0, 3]), ctx.structure.subset([3])
+        for _ in range(2):
+            with pytest.raises(H.DisjointnessViolated):
+                harness._verdict(ctx, harness.is_s_prime, q, s)
+        assert len(asked) == 2 and not ctx.verdicts
 
 
 class TestSearch:

@@ -9,6 +9,7 @@ import pytest
 
 import hyperlab as H
 import hyperlab.ideals as ideals_module
+from conftest import SMALL_FIXTURES
 
 
 def naive_is_ideal(a, members):
@@ -108,12 +109,6 @@ def scan_prime(a, q):
 def assert_matches_scan(a):
     lattice = H.enumerate_hyperideals(a)
     assert ([q.mask for q in lattice], list(lattice.prime_flags)) == subset_scan(a)
-
-
-SMALL_FIXTURES = (
-    ["paper-2-4", "paper-3-3", "paper-3-3-s1"]
-    + [f"ring:Z{k}" for k in range(2, 17)]
-    + [f"ring:Z{j}xZ{k}" for j in range(2, 9) for k in range(2, 9) if j * k <= 16])
 
 
 @pytest.mark.parametrize("name", SMALL_FIXTURES)

@@ -99,6 +99,17 @@ class TestPreconditions:
                 z12, z12.subset([0]), z12.subset([1]),
                 lattices[z12.label], budget=1)
 
+    def test_budget_gate_comes_before_the_product_table(self, z12):
+        lattice = H.enumerate_hyperideals(z12)
+        q, s = z12.subset([0]), z12.subset([1])
+        with pytest.raises(H.CapacityError):
+            H.is_strongly_weakly_s_prime(z12, q, s, lattice, budget=1)
+        with pytest.raises(H.CapacityError):
+            H.strongly_associated(z12, q, 1, lattice, budget=1)
+        assert "products" not in vars(lattice)
+        H.strongly_associated(z12, q, 1, lattice)
+        assert len(vars(lattice)["products"]) == 21  # C(6 + 1, 2) index pairs
+
 
 class TestClassify:
     def test_record_keys(self, z4, lattices):
