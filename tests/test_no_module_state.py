@@ -1,9 +1,10 @@
 """No function in the package keeps state in a module-level name.
 
 Derived data belongs to the object it is derived from (a structure's
-inverse map, a suite context's factor contexts and product triple), so two
-calls in one process share nothing but read-only tables such as
-``STATEMENTS`` and ``PREDICATES``.
+inverse map, a lattice's ideal-product table, a suite context's factor
+contexts, product triple and verdict memo), so two calls in one process
+share nothing but read-only tables such as ``STATEMENTS`` and
+``PREDICATES``.
 """
 
 import ast

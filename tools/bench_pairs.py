@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import statistics
 import subprocess
@@ -74,7 +75,8 @@ def main(argv=None) -> int:
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     metrics = json.loads((roots["change"] / "BENCHMARK.json").read_text())["end_to_end"]
 
-    record = {"host": {"python": platform.python_version(), "machine": platform.machine()},
+    record = {"host": {"python": platform.python_version(), "machine": platform.machine(),
+                       "nproc": os.cpu_count()},
               "seconds": args.seconds, "workloads": {}}
     for spec in args.workload:
         workload, pairs = spec.split(":")
