@@ -49,7 +49,6 @@ from .core import (
     MAX_CARRIER,
     ElementSet,
     HyperStructure,
-    graded_multisets,
     multiset_splits,
 )
 from .errors import (
@@ -64,11 +63,14 @@ from .ideals import (
     colon_zero,
     enumerate_hyperideals,
     radical,
-    scaled,
+    scaled,  # not called here; bound so that perfbench/layers.py can time it
     scaled_set,
     set_product,
+    support_rows,
 )
 from .predicates import (
+    _graded,
+    _scaled_colon,
     evaluate_predicate,
     is_hyperintegral_domain,
     is_prime,
@@ -155,8 +157,8 @@ class StructureContext:
         return product(self.structure, f1.structure, label=label)
 
 
-def build_context(name: str, mult_cap: int = MULT_SIZE_CAP) -> StructureContext:
-    return _prepare(fixture(name), mult_cap)
+def build_context(name: str) -> StructureContext:
+    return _prepare(fixture(name), MULT_SIZE_CAP)
 
 
 def _prepare(fx: Fixture, mult_cap: int) -> StructureContext:
@@ -176,8 +178,8 @@ def _prepare(fx: Fixture, mult_cap: int) -> StructureContext:
     return StructureContext(fx, violations, lattice, err, mult_sets, factors)
 
 
-def build_corpus(names, mult_cap: int = MULT_SIZE_CAP) -> list[StructureContext]:
-    return [build_context(name, mult_cap) for name in names]
+def build_corpus(names) -> list[StructureContext]:
+    return [build_context(name) for name in names]
 
 
 def _render(a: HyperStructure, subset: ElementSet) -> str:
@@ -421,20 +423,23 @@ def _eval_p6(ctx, q, s, budget=None):
                   if strongly_associated(a, q, cand, ctx.lattice, budget)]
     if not associated:
         return SKIPPED, "no s in S passes the ideal-wise zero test", None
+    # shared by every s: the zero products and g(kept, Q^(n - len(kept)))
+    zero_rows = sorted(support_rows(a, zero_mask), key=_graded)
+    images = {}
     checked = 0
     for cand in associated:
-        for ms in graded_multisets(range(a.size), a.n):
-            if a.eval_g(ms) != a.zero:
-                continue
-            if any(scaled(a, cand, x) in q for x in set(ms)):
+        handled = _scaled_colon(a, q, cand)
+        for support, ms in zero_rows:
+            if support & handled:
                 continue
             checked += 1
             for take in range(0, a.n):
                 # take elements stay, the rest are replaced by Q
                 for kept, _ in multiset_splits(ms, take):
-                    sets = [ElementSet.single(x, a.size) for x in kept]
-                    sets += [q] * (a.n - take)
-                    image = a.eval_g_on_sets(sets)
+                    if kept not in images:
+                        sets = [ElementSet.single(x, a.size) for x in kept]
+                        images[kept] = a.eval_g_on_sets(sets + [q] * (a.n - take))
+                    image = images[kept]
                     if image.mask != zero_mask:
                         cert = {"s": a.names[cand],
                                 "tuple": [a.names[x] for x in ms],

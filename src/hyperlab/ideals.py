@@ -10,6 +10,12 @@ Close-by-One search, each step joining a closed set with one principal
 closure cl({0, x}), and keeping the closed sets that pass
 :func:`is_hyperideal`.  Each ideal carries a primality flag so the radical
 can be computed by intersection.
+
+:func:`scale_row` is the one lookup of g(c, x, 1^(n-2)), read by colons,
+scaled sets and principal hyperideals; :func:`support_rows` gives each
+g-table entry valued in a mask with the mask of its entries.  Q is prime
+when each such row of Q meets Q: the lattice flags and the predicates
+read the same rows.
 """
 
 from __future__ import annotations
@@ -62,16 +68,6 @@ def is_hyperideal(a: HyperStructure, q: ElementSet) -> Verdict:
                 return Verdict(False, counterexample=ctx + (x,),
                                note=f"absorption fails: product {a.names[got]} escapes")
     return Verdict(True)
-
-
-def _elementwise_prime(a: HyperStructure, q: ElementSet) -> bool:
-    # private flag used for the lattice and radicals; proper Q only
-    if q.mask == a.full_set().mask:
-        return False
-    for ms in multisets(a.size, a.n):
-        if a.g_table[ms] in q and not any(x in q for x in ms):
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -222,35 +218,51 @@ def enumerate_hyperideals(a: HyperStructure) -> IdealLattice:
         if is_hyperideal(a, q).holds:
             found.append(q)
     found.sort(key=lambda s: (len(s), s.mask))
-    flags = tuple(_elementwise_prime(a, q) for q in found)
+    # rows of every value, built once for all the ideals' prime flags
+    full = a.full_set().mask
+    rows = [(support, 1 << a.g_table[ms]) for support, ms in support_rows(a, full)]
+    flags = tuple(q.mask != full and all(support & q.mask for support, value in rows
+                                         if value & q.mask)
+                  for q in found)
     return IdealLattice(a, tuple(found), flags)
 
 
-def _identity_pad(a: HyperStructure, needed: int, what: str) -> tuple[int, ...]:
-    if needed == 0:
-        return ()
+def support_rows(a: HyperStructure, values: int) -> list[tuple[int, tuple[int, ...]]]:
+    """(support mask, multiset) of each g-table entry whose value lies in the
+    mask ``values``, in table order; the support is the mask of the entries."""
+    rows = []
+    for ms, value in a.g_table.items():
+        if values >> value & 1:
+            support = 0
+            for x in ms:
+                support |= 1 << x
+            rows.append((support, ms))
+    return rows
+
+
+def scale_row(a: HyperStructure, c: int, what: str) -> tuple[int, ...]:
+    """g(c, x, one^(n-2)) for each x of the carrier, in index order;
+    ``what`` names the caller in the IdentityRequired raised when n > 2 and
+    there is no identity."""
+    g_table = a.g_table
+    if a.n == 2:
+        return tuple(g_table[(c, x) if c <= x else (x, c)] for x in range(a.size))
     if a.one is None:
         raise IdentityRequired(f"{what} needs a scalar identity when n > 2")
-    return (a.one,) * needed
+    pad = (a.one,) * (a.n - 2)
+    return tuple(g_table[tuple(sorted((c, x, *pad)))] for x in range(a.size))
 
 
 def generated_hyperideal(a: HyperStructure, x: int) -> ElementSet:
     """Principal hyperideal: all scalar multiples of x."""
-    pad = _identity_pad(a, a.n - 2, "generated hyperideal")
-    mask = 0
-    for r in range(a.size):
-        mask |= 1 << a.g_table[sorted_key((r, x) + pad)]
-    return ElementSet(mask, a.size)
+    return ElementSet.from_indices(scale_row(a, x, "generated hyperideal"), a.size)
 
 
 def colon(a: HyperStructure, q: ElementSet, x: int) -> ElementSet:
     """(Q : x) = elements whose scaled product with x lands in Q."""
-    pad = _identity_pad(a, a.n - 2, "colon ideal")
-    mask = 0
-    for r in range(a.size):
-        if a.g_table[sorted_key((r, x) + pad)] in q:
-            mask |= 1 << r
-    return ElementSet(mask, a.size)
+    row = scale_row(a, x, "colon ideal")
+    return ElementSet(sum(1 << r for r, value in enumerate(row) if q.mask >> value & 1),
+                      a.size)
 
 
 def colon_zero(a: HyperStructure, x: int) -> ElementSet:
@@ -260,17 +272,13 @@ def colon_zero(a: HyperStructure, x: int) -> ElementSet:
 
 def scaled(a: HyperStructure, s: int, x: int) -> int:
     """g(s, x, one^(n-2)): the s-multiple of a single element."""
-    pad = _identity_pad(a, a.n - 2, "scaled product")
-    return a.g_table[sorted_key((s, x) + pad)]
+    return scale_row(a, s, "scaled product")[x]
 
 
 def scaled_set(a: HyperStructure, s: int, q: ElementSet) -> ElementSet:
     """Image of a subset under multiplication by s."""
-    pad = _identity_pad(a, a.n - 2, "scaled product")
-    mask = 0
-    for x in q:
-        mask |= 1 << a.g_table[sorted_key((s, x) + pad)]
-    return ElementSet(mask, a.size)
+    row = scale_row(a, s, "scaled product")
+    return ElementSet.from_indices((row[x] for x in q), a.size)
 
 
 def set_product(a: HyperStructure, sets) -> ElementSet:

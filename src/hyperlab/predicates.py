@@ -14,7 +14,8 @@ row exactly when the row's support meets P_s.
 
 * Element level (S-prime, weakly S-prime, and weakly prime as S = {1}):
   the rows are the g-table entries whose value lies in Q (and is nonzero
-  for the weakly variants).
+  for the weakly variants), from ``ideals.support_rows``.  Primality and
+  the integral-domain test (primality of {0}) take Q itself as the colon.
 * Ideal level (strongly weakly S-prime, ``strongly_associated``): the rows
   are the lattice-index n-multisets whose ideal product is nonzero and
   inside Q, read from the lattice's ``products`` table; s handles a factor
@@ -24,7 +25,7 @@ row exactly when the row's support meets P_s.
 qualifying row exists, so ``IdentityRequired`` stays as lazy as the
 definition.  A negative verdict carries the graded-first row that misses
 every P_s at once when one exists; otherwise the verdict explains that
-each s fails on its own multiset.
+each s fails on its own multiset.  Colons read ``ideals.scale_row``.
 
 ``PREDICATES`` is the one registry of named predicates: ``classify``,
 ``evaluate_predicate``, ``CLASSIFY_KEYS`` and the CLI choices all read it.
@@ -43,7 +44,7 @@ from .errors import (
     IdentityRequired,
     NotProper,
 )
-from .ideals import IdealLattice, _identity_pad, colon, colon_zero, radical
+from .ideals import IdealLattice, colon, colon_zero, radical, scale_row, support_rows
 from .verdict import Verdict
 
 DEFAULT_IDEAL_SCAN_BUDGET = 10 ** 7
@@ -78,11 +79,7 @@ def is_multiplicative(a: HyperStructure, s: ElementSet) -> Verdict:
 def is_prime(a: HyperStructure, q: ElementSet) -> Verdict:
     """Elementwise primality: a product in Q forces a factor in Q."""
     _require_proper(a, q)
-    for ms in graded_multisets(range(a.size), a.n):
-        if a.g_table[ms] in q and not any(x in q for x in ms):
-            return Verdict(False, counterexample=ms,
-                           note="product lies in the hyperideal, no factor does")
-    return Verdict(True)
+    return _factor_inside(a, q.mask, "product lies in the hyperideal, no factor does")
 
 
 def _substituted(a: HyperStructure, ms: tuple[int, ...], value: int) -> int:
@@ -145,45 +142,33 @@ def _one_colon_meets_all(rows, candidates, colon_of, what: str = "tuple") -> Ver
     return Verdict(False, note=f"every s fails, each on its own {what}")
 
 
-def _colon_mask(a: HyperStructure, q: ElementSet, c: int) -> int:
-    """P_c = {x : g(c, x, 1^(n-2)) in Q}, the colon (Q : c), as a mask."""
-    pad = _identity_pad(a, a.n - 2, "scaled product")
-    g_table, q_mask, mask = a.g_table, q.mask, 0
-    for x in range(a.size):
-        if q_mask >> g_table[sorted_key((c, x) + pad)] & 1:
-            mask |= 1 << x
-    return mask
+def _factor_inside(a: HyperStructure, mask: int, note: str) -> Verdict:
+    """Primality of a mask: every row whose value lies in it has a support
+    meeting it.  That is the colon quantifier with one colon, the mask."""
+    verdict = _one_colon_meets_all(support_rows(a, mask), (None,), lambda _: mask)
+    return Verdict(True) if verdict.holds else replace(verdict, note=note)
 
 
-def _element_rows(a: HyperStructure, q: ElementSet, weakly: bool) -> list:
-    """(support mask, multiset) of each g-table entry whose value lies in Q,
-    nonzero when `weakly`."""
-    q_mask = q.mask & ~(1 << a.zero) if weakly else q.mask
-    rows = []
-    for ms, value in a.g_table.items():
-        if q_mask >> value & 1:
-            support = 0
-            for x in ms:
-                support |= 1 << x
-            rows.append((support, ms))
-    return rows
+def _scaled_colon(a: HyperStructure, q: ElementSet, c: int) -> int:
+    """P_c = (Q : c) as a mask, read from c's scale row; it raises as a
+    scaled product does when n > 2 and there is no identity."""
+    row = scale_row(a, c, "scaled product")
+    return sum(1 << x for x, value in enumerate(row) if q.mask >> value & 1)
 
 
-def _element_scan(a: HyperStructure, q: ElementSet, s: ElementSet,
-                  weakly: bool) -> Verdict:
+def _element_scan(a: HyperStructure, q: ElementSet, s: ElementSet, rows) -> Verdict:
     _require_disjoint(a, q, s)
-    return _one_colon_meets_all(_element_rows(a, q, weakly), s.indices(),
-                                lambda c: _colon_mask(a, q, c))
+    return _one_colon_meets_all(rows, s.indices(), lambda c: _scaled_colon(a, q, c))
 
 
 def is_s_prime(a: HyperStructure, q: ElementSet, s: ElementSet) -> Verdict:
     """Some s in S scales a factor of every Q-product back into Q."""
-    return _element_scan(a, q, s, weakly=False)
+    return _element_scan(a, q, s, support_rows(a, q.mask))
 
 
 def is_weakly_s_prime(a: HyperStructure, q: ElementSet, s: ElementSet) -> Verdict:
     """As S-prime, but only nonzero Q-products qualify."""
-    return _element_scan(a, q, s, weakly=True)
+    return _element_scan(a, q, s, support_rows(a, q.mask & ~(1 << a.zero)))
 
 
 def is_weakly_prime(a: HyperStructure, q: ElementSet) -> Verdict:
@@ -192,12 +177,12 @@ def is_weakly_prime(a: HyperStructure, q: ElementSet) -> Verdict:
 
     def colon_of(one):
         if one is not None:
-            return _colon_mask(a, q, one)
+            return _scaled_colon(a, q, one)
         if a.n > 2:
             raise IdentityRequired("weakly prime needs a scalar identity when n > 2")
         return q.mask
 
-    return _one_colon_meets_all(_element_rows(a, q, weakly=True), (a.one,), colon_of)
+    return _one_colon_meets_all(support_rows(a, q.mask & ~(1 << a.zero)), (a.one,), colon_of)
 
 
 def _require_budget(a: HyperStructure, lattice: IdealLattice,
@@ -217,7 +202,7 @@ def _ideal_scan(a: HyperStructure, q: ElementSet, candidates,
             if product != zero_mask and not product & outside]
 
     def colon_of(c):
-        inside = ~_colon_mask(a, q, c)
+        inside = ~_scaled_colon(a, q, c)
         return sum(1 << i for i, ideal in enumerate(lattice.sets)
                    if not ideal.mask & inside)
 
@@ -254,24 +239,17 @@ def is_strongly_weakly_s_prime_colon(a: HyperStructure, q: ElementSet,
     annihilator of a.
     """
     _require_disjoint(a, q, s)
+    colons = [colon(a, q, x).mask for x in range(a.size)]
     first_failure = None
     for cand in s:
-        q_colon_s = colon(a, q, cand)
-        ok = True
-        for x in range(a.size):
-            if x in q_colon_s:
-                continue
-            q_colon_x = colon(a, q, x)
-            if q_colon_x.issubset(q_colon_s):
-                continue
-            if q_colon_x.mask == colon_zero(a, x).mask:
-                continue
-            ok = False
-            if first_failure is None:
-                first_failure = (cand, x)
-            break
-        if ok:
+        inside = colons[cand]
+        failing = next((x for x in range(a.size)
+                        if not inside >> x & 1 and colons[x] & ~inside
+                        and colons[x] != colon_zero(a, x).mask), None)
+        if failing is None:
             return Verdict(True, witness_s=cand)
+        if first_failure is None:
+            first_failure = (cand, failing)
     cand, x = first_failure
     return Verdict(False, counterexample=(x,),
                    note=f"for s={a.names[cand]} the element {a.names[x]} "
@@ -279,11 +257,9 @@ def is_strongly_weakly_s_prime_colon(a: HyperStructure, q: ElementSet,
 
 
 def is_hyperintegral_domain(a: HyperStructure) -> Verdict:
-    """No n-ary zero divisors: a zero product forces a zero factor."""
-    for ms in graded_multisets(range(a.size), a.n):
-        if a.g_table[ms] == a.zero and a.zero not in ms:
-            return Verdict(False, counterexample=ms, note="nonzero zero-divisor tuple")
-    return Verdict(True)
+    """No n-ary zero divisors: a zero product forces a zero factor, that
+    is {0} is prime."""
+    return _factor_inside(a, 1 << a.zero, "nonzero zero-divisor tuple")
 
 
 # Every named predicate as a function of (A, Q, S, lattice, budget).  The

@@ -10,8 +10,9 @@ checkouts paths of equal length, since the path length alone has moved
 ``theorems`` timings.  Each pair runs ``perfbench/run.py`` once in each
 checkout, on the same seed and ``--seconds``, the side that runs first
 alternating from pair to pair.  Afterwards one traced round per checkout
-(``--trace 1``) records the ``predicates.*`` metrics: the call counts,
-which repeat exactly, and one round's inclusive seconds.
+(``--trace 1``) records every per-layer metric under ``traced``: the call
+counts, which repeat exactly, and one round's seconds.  PAIRS must be at
+least 2, since the quartiles need two runs a side.
 
 For every end-to-end metric of BENCHMARK.json the output gives each side's
 median and quartiles, the ratio of the medians and the pairs the change won
@@ -41,6 +42,15 @@ def run(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dic
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def workload_spec(text: str) -> tuple[str, int]:
+    """NAME:PAIRS, checked before any run starts."""
+    name, _, pairs = text.partition(":")
+    if not name or not pairs.isdigit() or int(pairs) < 2:
+        raise argparse.ArgumentTypeError(
+            f"expected NAME:PAIRS with PAIRS >= 2, got {text!r}")
+    return name, int(pairs)
+
+
 def spread(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
@@ -67,8 +77,8 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--workload", action="append", required=True,
-                        help="NAME:PAIRS, repeatable")
+    parser.add_argument("--workload", action="append", required=True, type=workload_spec,
+                        help="NAME:PAIRS with PAIRS >= 2, repeatable")
     parser.add_argument("--first-seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=20)
     args = parser.parse_args(argv)
@@ -78,9 +88,8 @@ def main(argv=None) -> int:
     record = {"host": {"python": platform.python_version(), "machine": platform.machine(),
                        "nproc": os.cpu_count()},
               "seconds": args.seconds, "workloads": {}}
-    for spec in args.workload:
-        workload, pairs = spec.split(":")
-        seeds = list(range(args.first_seed, args.first_seed + int(pairs)))
+    for workload, pairs in args.workload:
+        seeds = list(range(args.first_seed, args.first_seed + pairs))
         runs = {side: [] for side in SIDES}
         for i, seed in enumerate(seeds):
             for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
@@ -96,9 +105,8 @@ def main(argv=None) -> int:
             "failed_ops": {side: sum(r["failed"] for r in runs[side]) for side in SIDES},
             "attempted_ops": {side: sum(r["attempted"] for r in runs[side]) for side in SIDES},
             "metrics": summarise(runs, metrics),
-            "traced_predicates": {
-                side: {name: m["value"] for name, m in traced[side]["metrics"].items()
-                       if name.startswith("predicates.")}
+            "traced": {
+                side: {name: m["value"] for name, m in traced[side]["metrics"].items()}
                 for side in SIDES},
             "traced_unmeasured": {
                 side: json.loads((roots[side] / ".perfbench_work" / "results" /
