@@ -60,17 +60,17 @@ from .errors import (
 from .ideals import (
     IdealLattice,
     colon,
+    colon_mask,
     colon_zero,
     enumerate_hyperideals,
+    graded_key,
     radical,
-    scaled,  # not called here; bound so that perfbench/layers.py can time it
+    scaled,  # not called here; perfbench/layers.py hooks the name at this site
     scaled_set,
     set_product,
     support_rows,
 )
 from .predicates import (
-    _graded,
-    _scaled_colon,
     evaluate_predicate,
     is_hyperintegral_domain,
     is_prime,
@@ -424,11 +424,11 @@ def _eval_p6(ctx, q, s, budget=None):
     if not associated:
         return SKIPPED, "no s in S passes the ideal-wise zero test", None
     # shared by every s: the zero products and g(kept, Q^(n - len(kept)))
-    zero_rows = sorted(support_rows(a, zero_mask), key=_graded)
+    zero_rows = sorted(support_rows(a, zero_mask), key=graded_key)
     images = {}
     checked = 0
     for cand in associated:
-        handled = _scaled_colon(a, q, cand)
+        handled = colon_mask(a, q, cand, "scaled product")
         for support, ms in zero_rows:
             if support & handled:
                 continue

@@ -14,8 +14,8 @@ can be computed by intersection.
 :func:`scale_row` is the one lookup of g(c, x, 1^(n-2)), read by colons,
 scaled sets and principal hyperideals; :func:`support_rows` gives each
 g-table entry valued in a mask with the mask of its entries.  Q is prime
-when each such row of Q meets Q: the lattice flags and the predicates
-read the same rows.
+when :func:`first_unfactored` finds no multiset outside Q valued in Q; the
+lattice flags, ``is_prime`` and the integral-domain test all ask it.
 """
 
 from __future__ import annotations
@@ -218,12 +218,8 @@ def enumerate_hyperideals(a: HyperStructure) -> IdealLattice:
         if is_hyperideal(a, q).holds:
             found.append(q)
     found.sort(key=lambda s: (len(s), s.mask))
-    # rows of every value, built once for all the ideals' prime flags
     full = a.full_set().mask
-    rows = [(support, 1 << a.g_table[ms]) for support, ms in support_rows(a, full)]
-    flags = tuple(q.mask != full and all(support & q.mask for support, value in rows
-                                         if value & q.mask)
-                  for q in found)
+    flags = tuple(q.mask != full and first_unfactored(a, q.mask) is None for q in found)
     return IdealLattice(a, tuple(found), flags)
 
 
@@ -240,17 +236,34 @@ def support_rows(a: HyperStructure, values: int) -> list[tuple[int, tuple[int, .
     return rows
 
 
+def graded_key(row: tuple[int, tuple[int, ...]]) -> tuple[int, tuple[int, ...]]:
+    """Graded order of a support row: most distinct entries first."""
+    support, ms = row
+    return len(ms) - support.bit_count(), ms
+
+
+def first_unfactored(a: HyperStructure, mask: int) -> tuple[int, ...] | None:
+    """The graded-first multiset whose g-value lies in the mask and none of
+    whose entries does, or None: the mask is prime-like exactly when None."""
+    outside = [x for x in range(a.size) if not mask >> x & 1]
+    missed = [ms for ms in combinations_with_replacement(outside, a.n)
+              if mask >> a.g_table[ms] & 1]
+    return min(missed, key=lambda ms: (a.n - len(set(ms)), ms)) if missed else None
+
+
 def scale_row(a: HyperStructure, c: int, what: str) -> tuple[int, ...]:
-    """g(c, x, one^(n-2)) for each x of the carrier, in index order;
-    ``what`` names the caller in the IdentityRequired raised when n > 2 and
-    there is no identity."""
-    g_table = a.g_table
-    if a.n == 2:
-        return tuple(g_table[(c, x) if c <= x else (x, c)] for x in range(a.size))
-    if a.one is None:
+    """g(c, x, one^(n-2)) for each x, in index order; ``what`` names the caller
+    in the IdentityRequired raised when n > 2 and there is no identity."""
+    if a.n > 2 and a.one is None:
         raise IdentityRequired(f"{what} needs a scalar identity when n > 2")
-    pad = (a.one,) * (a.n - 2)
-    return tuple(g_table[tuple(sorted((c, x, *pad)))] for x in range(a.size))
+    g_table, pad = a.g_table, (a.one,) * (a.n - 2)
+    return tuple(g_table[sorted_key((c, x) + pad)] for x in range(a.size))
+
+
+def colon_mask(a: HyperStructure, q: ElementSet, c: int, what: str) -> int:
+    """(Q : c) as a mask, from c's scale row; ``what`` as in :func:`scale_row`."""
+    return sum(1 << x for x, value in enumerate(scale_row(a, c, what))
+               if q.mask >> value & 1)
 
 
 def generated_hyperideal(a: HyperStructure, x: int) -> ElementSet:
@@ -260,9 +273,7 @@ def generated_hyperideal(a: HyperStructure, x: int) -> ElementSet:
 
 def colon(a: HyperStructure, q: ElementSet, x: int) -> ElementSet:
     """(Q : x) = elements whose scaled product with x lands in Q."""
-    row = scale_row(a, x, "colon ideal")
-    return ElementSet(sum(1 << r for r, value in enumerate(row) if q.mask >> value & 1),
-                      a.size)
+    return ElementSet(colon_mask(a, q, x, "colon ideal"), a.size)
 
 
 def colon_zero(a: HyperStructure, x: int) -> ElementSet:

@@ -15,7 +15,9 @@ row exactly when the row's support meets P_s.
 * Element level (S-prime, weakly S-prime, and weakly prime as S = {1}):
   the rows are the g-table entries whose value lies in Q (and is nonzero
   for the weakly variants), from ``ideals.support_rows``.  Primality and
-  the integral-domain test (primality of {0}) take Q itself as the colon.
+  the integral-domain test (primality of {0}) ask
+  ``ideals.first_unfactored`` for a row of Q whose support misses Q, the
+  test behind the lattice's prime flags.
 * Ideal level (strongly weakly S-prime, ``strongly_associated``): the rows
   are the lattice-index n-multisets whose ideal product is nonzero and
   inside Q, read from the lattice's ``products`` table; s handles a factor
@@ -25,7 +27,7 @@ row exactly when the row's support meets P_s.
 qualifying row exists, so ``IdentityRequired`` stays as lazy as the
 definition.  A negative verdict carries the graded-first row that misses
 every P_s at once when one exists; otherwise the verdict explains that
-each s fails on its own multiset.  Colons read ``ideals.scale_row``.
+each s fails on its own multiset.  Colons are ``ideals.colon_mask``.
 
 ``PREDICATES`` is the one registry of named predicates: ``classify``,
 ``evaluate_predicate``, ``CLASSIFY_KEYS`` and the CLI choices all read it.
@@ -44,7 +46,16 @@ from .errors import (
     IdentityRequired,
     NotProper,
 )
-from .ideals import IdealLattice, colon, colon_zero, radical, scale_row, support_rows
+from .ideals import (
+    IdealLattice,
+    colon,
+    colon_mask,
+    colon_zero,
+    first_unfactored,
+    graded_key,
+    radical,
+    support_rows,
+)
 from .verdict import Verdict
 
 DEFAULT_IDEAL_SCAN_BUDGET = 10 ** 7
@@ -112,12 +123,6 @@ def is_primary(a: HyperStructure, q: ElementSet, lattice: IdealLattice) -> Verdi
     return Verdict(True)
 
 
-def _graded(row: tuple[int, tuple[int, ...]]) -> tuple[int, tuple[int, ...]]:
-    # graded order of a (support mask, multiset) row: most distinct entries first
-    support, ms = row
-    return len(ms) - support.bit_count(), ms
-
-
 def _one_colon_meets_all(rows, candidates, colon_of, what: str = "tuple") -> Verdict:
     """Does one s in `candidates` handle every row?
 
@@ -132,33 +137,26 @@ def _one_colon_meets_all(rows, candidates, colon_of, what: str = "tuple") -> Ver
     supports = {support for support, _ in rows}
     union = 0
     for c in candidates:
-        colon_mask = colon_of(c)
-        if all(support & colon_mask for support in supports):
+        handled = colon_of(c)
+        if all(support & handled for support in supports):
             return Verdict(True, witness_s=c)
-        union |= colon_mask
+        union |= handled
     missed = [row for row in rows if not row[0] & union]
     if missed:
-        return Verdict(False, counterexample=min(missed, key=_graded)[1])
+        return Verdict(False, counterexample=min(missed, key=graded_key)[1])
     return Verdict(False, note=f"every s fails, each on its own {what}")
 
 
 def _factor_inside(a: HyperStructure, mask: int, note: str) -> Verdict:
-    """Primality of a mask: every row whose value lies in it has a support
-    meeting it.  That is the colon quantifier with one colon, the mask."""
-    verdict = _one_colon_meets_all(support_rows(a, mask), (None,), lambda _: mask)
-    return Verdict(True) if verdict.holds else replace(verdict, note=note)
-
-
-def _scaled_colon(a: HyperStructure, q: ElementSet, c: int) -> int:
-    """P_c = (Q : c) as a mask, read from c's scale row; it raises as a
-    scaled product does when n > 2 and there is no identity."""
-    row = scale_row(a, c, "scaled product")
-    return sum(1 << x for x, value in enumerate(row) if q.mask >> value & 1)
+    # primality of a mask, with the graded-first unfactored multiset
+    ms = first_unfactored(a, mask)
+    return Verdict(True) if ms is None else Verdict(False, counterexample=ms, note=note)
 
 
 def _element_scan(a: HyperStructure, q: ElementSet, s: ElementSet, rows) -> Verdict:
     _require_disjoint(a, q, s)
-    return _one_colon_meets_all(rows, s.indices(), lambda c: _scaled_colon(a, q, c))
+    return _one_colon_meets_all(rows, s.indices(),
+                                lambda c: colon_mask(a, q, c, "scaled product"))
 
 
 def is_s_prime(a: HyperStructure, q: ElementSet, s: ElementSet) -> Verdict:
@@ -177,7 +175,7 @@ def is_weakly_prime(a: HyperStructure, q: ElementSet) -> Verdict:
 
     def colon_of(one):
         if one is not None:
-            return _scaled_colon(a, q, one)
+            return colon_mask(a, q, one, "scaled product")
         if a.n > 2:
             raise IdentityRequired("weakly prime needs a scalar identity when n > 2")
         return q.mask
@@ -202,7 +200,7 @@ def _ideal_scan(a: HyperStructure, q: ElementSet, candidates,
             if product != zero_mask and not product & outside]
 
     def colon_of(c):
-        inside = ~_scaled_colon(a, q, c)
+        inside = ~colon_mask(a, q, c, "scaled product")
         return sum(1 << i for i, ideal in enumerate(lattice.sets)
                    if not ideal.mask & inside)
 

@@ -23,12 +23,8 @@ import pytest
 import hyperlab as H
 from hyperlab.core import graded_multisets, multiset_splits, multisets, sorted_key
 from hyperlab.harness import _eval_p6, _eval_p10
-from hyperlab.predicates import (
-    DEFAULT_IDEAL_SCAN_BUDGET,
-    _require_disjoint,
-    _require_proper,
-    _scaled_colon,
-)
+from hyperlab.ideals import colon_mask
+from hyperlab.predicates import DEFAULT_IDEAL_SCAN_BUDGET, _require_disjoint, _require_proper
 from conftest import SMALL_FIXTURES
 
 
@@ -255,8 +251,8 @@ def oracle_colon_zero(a, x):
     return oracle_colon(a, a.zero_set(), x)
 
 
-def oracle_colon_mask(a, q, c):
-    pad = _identity_pad(a, a.n - 2, "scaled product")
+def oracle_colon_mask(a, q, c, what):
+    pad = _identity_pad(a, a.n - 2, what)
     mask = 0
     for x in range(a.size):
         if q.mask >> a.g_table[sorted_key((c, x) + pad)] & 1:
@@ -392,7 +388,7 @@ def compare_rows(a):
         for x in range(a.size):
             check("colon", H.colon, oracle_colon, a, q, x)
             check("scaled_set", H.scaled_set, oracle_scaled_set, a, x, q)
-            check("colon mask", _scaled_colon, oracle_colon_mask, a, q, x)
+            check("colon mask", colon_mask, oracle_colon_mask, a, q, x, "scaled product")
         for s in mult_sets:
             check("colon route", H.is_strongly_weakly_s_prime_colon,
                   oracle_colon_route, a, q, s)
