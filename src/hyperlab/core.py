@@ -136,14 +136,18 @@ def multisets(universe: int, k: int) -> Iterator[tuple[int, ...]]:
     return itertools.combinations_with_replacement(range(universe), k)
 
 
+def graded_key(ms: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """Graded order of a multiset: most distinct entries first, lex inside a grade."""
+    return len(ms) - len(set(ms)), ms
+
+
 def graded_multisets(values: Sequence[int], k: int) -> list[tuple[int, ...]]:
     """All k-multisets over ``values``, most distinct entries first, lex inside a grade.
 
     Witness searches walk this order, so reported counterexamples favour
     tuples with maximal distinct support.
     """
-    combos = itertools.combinations_with_replacement(sorted(values), k)
-    return sorted(combos, key=lambda t: (k - len(set(t)), t))
+    return sorted(itertools.combinations_with_replacement(sorted(values), k), key=graded_key)
 
 
 def multiset_splits(ms: Sequence[int], k: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:

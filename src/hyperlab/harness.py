@@ -49,6 +49,7 @@ from .core import (
     MAX_CARRIER,
     ElementSet,
     HyperStructure,
+    graded_key,
     multiset_splits,
 )
 from .errors import (
@@ -63,7 +64,6 @@ from .ideals import (
     colon_mask,
     colon_zero,
     enumerate_hyperideals,
-    graded_key,
     radical,
     scaled,  # not called here; perfbench/layers.py hooks the name at this site
     scaled_set,
@@ -424,7 +424,7 @@ def _eval_p6(ctx, q, s, budget=None):
     if not associated:
         return SKIPPED, "no s in S passes the ideal-wise zero test", None
     # shared by every s: the zero products and g(kept, Q^(n - len(kept)))
-    zero_rows = sorted(support_rows(a, zero_mask), key=graded_key)
+    zero_rows = sorted(support_rows(a, zero_mask), key=lambda row: graded_key(row[1]))
     images = {}
     checked = 0
     for cand in associated:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations_with_replacement
 
-from .core import ElementSet, HyperStructure, insert_sorted, multisets, sorted_key
+from .core import ElementSet, HyperStructure, graded_key, insert_sorted, multisets, sorted_key
 from .errors import CapacityError, IdentityRequired
 from .verdict import Verdict
 
@@ -236,19 +236,13 @@ def support_rows(a: HyperStructure, values: int) -> list[tuple[int, tuple[int, .
     return rows
 
 
-def graded_key(row: tuple[int, tuple[int, ...]]) -> tuple[int, tuple[int, ...]]:
-    """Graded order of a support row: most distinct entries first."""
-    support, ms = row
-    return len(ms) - support.bit_count(), ms
-
-
 def first_unfactored(a: HyperStructure, mask: int) -> tuple[int, ...] | None:
     """The graded-first multiset whose g-value lies in the mask and none of
     whose entries does, or None: the mask is prime-like exactly when None."""
     outside = [x for x in range(a.size) if not mask >> x & 1]
     missed = [ms for ms in combinations_with_replacement(outside, a.n)
               if mask >> a.g_table[ms] & 1]
-    return min(missed, key=lambda ms: (a.n - len(set(ms)), ms)) if missed else None
+    return min(missed, key=graded_key) if missed else None
 
 
 def scale_row(a: HyperStructure, c: int, what: str) -> tuple[int, ...]:

@@ -16,7 +16,7 @@ row exactly when the row's support meets P_s.
   the rows are the g-table entries whose value lies in Q (and is nonzero
   for the weakly variants), from ``ideals.support_rows``.  Primality and
   the integral-domain test (primality of {0}) ask
-  ``ideals.first_unfactored`` for a row of Q whose support misses Q, the
+  ``ideals.first_unfactored`` for a multiset outside Q valued in Q, the
   test behind the lattice's prime flags.
 * Ideal level (strongly weakly S-prime, ``strongly_associated``): the rows
   are the lattice-index n-multisets whose ideal product is nonzero and
@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import replace
 from itertools import combinations
 
-from .core import ElementSet, HyperStructure, graded_multisets, sorted_key
+from .core import ElementSet, HyperStructure, graded_key, graded_multisets, sorted_key
 from .errors import (
     CapacityError,
     DisjointnessViolated,
@@ -52,7 +52,6 @@ from .ideals import (
     colon_mask,
     colon_zero,
     first_unfactored,
-    graded_key,
     radical,
     support_rows,
 )
@@ -141,9 +140,9 @@ def _one_colon_meets_all(rows, candidates, colon_of, what: str = "tuple") -> Ver
         if all(support & handled for support in supports):
             return Verdict(True, witness_s=c)
         union |= handled
-    missed = [row for row in rows if not row[0] & union]
+    missed = [ms for support, ms in rows if not support & union]
     if missed:
-        return Verdict(False, counterexample=min(missed, key=graded_key)[1])
+        return Verdict(False, counterexample=min(missed, key=graded_key))
     return Verdict(False, note=f"every s fails, each on its own {what}")
 
 
