@@ -134,11 +134,9 @@ def _reversibility_violations(a: HyperStructure, first: bool) -> list[AxiomViola
     for ms in multisets(a.size, a.m):
         value = a.f_table[ms]
         for x in value:
-            seen = set()
             for i, kept in enumerate(ms):
-                if kept in seen:
-                    continue
-                seen.add(kept)
+                if i and ms[i - 1] == kept:
+                    continue  # ms is sorted: only the first of each run
                 others = ms[:i] + ms[i + 1:]
                 if any(o not in inv for o in others):
                     continue  # reported under INVERSE_UNIQUE

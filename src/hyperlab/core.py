@@ -154,36 +154,19 @@ def multiset_splits(ms: Sequence[int], k: int) -> list[tuple[tuple[int, ...], tu
     """Distinct ways to carve a k-sub-multiset out of sorted ``ms``.
 
     Returns (taken, rest) pairs, both sorted; distinct as multisets, so
-    repeated values are never enumerated twice.
+    repeated values are never enumerated twice.  Each split takes a prefix
+    of every run of equal values; the pairs come with ``taken`` in
+    descending lexicographic order.
     """
-    groups: list[tuple[int, int]] = []
-    for v in ms:
-        if groups and groups[-1][0] == v:
-            groups[-1] = (v, groups[-1][1] + 1)
-        else:
-            groups.append((v, 1))
-    suffix = [0] * (len(groups) + 1)
-    for i in range(len(groups) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + groups[i][1]
-    out: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    taken: list[int] = []
-    rest: list[int] = []
-
-    def rec(gi: int, need: int) -> None:
-        if gi == len(groups):
-            if need == 0:
-                out.append((tuple(taken), tuple(rest)))
-            return
-        v, c = groups[gi]
-        low = max(0, need - (suffix[gi] - c))
-        for take in range(low, min(c, need) + 1):
-            taken.extend([v] * take)
-            rest.extend([v] * (c - take))
-            rec(gi + 1, need - take)
-            del taken[len(taken) - take:]
-            del rest[len(rest) - (c - take):]
-
-    rec(0, k)
+    runs = [tuple(run) for _, run in itertools.groupby(ms)]
+    out = []
+    for cuts in itertools.product(*(range(len(run) + 1) for run in runs)):
+        if sum(cuts) == k:
+            taken, rest = (), ()
+            for run, cut in zip(runs, cuts):
+                taken += run[:cut]
+                rest += run[cut:]
+            out.append((taken, rest))
     return out
 
 

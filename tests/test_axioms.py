@@ -1,5 +1,6 @@
 """Axiom scans, violation replay, and the iterated operations."""
 
+import itertools
 import time
 
 import pytest
@@ -16,6 +17,20 @@ VALID_FIXTURES = ("paper-2-4", "ring:Z2", "ring:Z3", "ring:Z4", "ring:Z6",
 @pytest.mark.parametrize("name", VALID_FIXTURES)
 def test_valid_fixtures_pass(name):
     a = H.fixture(name).structure
+    start = time.monotonic()
+    assert H.check_krasner(a) == []
+    assert time.monotonic() - start < 1.0
+
+
+def test_high_arity_scan_stays_fast():
+    # Z/2 as a (2,15)-structure: f = sum, g = product.  Its ASSOC_G multisets
+    # have 29 entries over two values, so an enumerator that walks positions
+    # instead of runs of equal values makes C(29, 15) splits of each.
+    a = H.HyperStructure.from_tables(
+        2, 15, ("0", "1"),
+        {ms: ((sum(ms) % 2),) for ms in itertools.combinations_with_replacement(range(2), 2)},
+        {ms: min(ms) for ms in itertools.combinations_with_replacement(range(2), 15)},
+        zero=0, one=1)
     start = time.monotonic()
     assert H.check_krasner(a) == []
     assert time.monotonic() - start < 1.0

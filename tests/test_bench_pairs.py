@@ -1,6 +1,8 @@
-"""tools/bench_pairs.py checks its --workload specs before any run starts."""
+"""tools/bench_pairs.py checks its --workload specs before any run starts and
+keeps every run's round count."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -29,3 +31,33 @@ def test_bad_workload_spec_is_an_argparse_error(tmp_path, capsys, monkeypatch, s
     assert exc.value.code == 2
     assert "PAIRS >= 2" in capsys.readouterr().err
     assert not (tmp_path / "out.json").exists()
+
+
+def test_round_counts_kept_per_side(tmp_path, monkeypatch):
+    rounds = {("parent", 1): 3, ("change", 1): 5, ("parent", 2): 4, ("change", 2): 6}
+    calls = []
+
+    def fake_run(root, workload, seed, seconds, trace):
+        side = root.name
+        calls.append((side, seed, trace))
+        return {"correct": True, "attempted": 10, "failed": 0,
+                "metrics": {"ops_per_s": {"value": 1.0, "unit": "1/s"},
+                            "peak_rss_mb": {"value": 20.0 + seed, "unit": "MB"}},
+                "rounds": 1 if trace else rounds[side, seed], "unmeasured": {}}
+
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "peak_rss_mb", "unit": "MB", "better": "lower"}]}))
+    monkeypatch.setattr(bench_pairs, "run", fake_run)
+    out = tmp_path / "out.json"
+    assert bench_pairs.main(["--parent", str(tmp_path / "parent"),
+                             "--change", str(tmp_path / "change"), "--out", str(out),
+                             "--workload", "mutants:2", "--first-seed", "1"]) == 0
+    summary = json.loads(out.read_text())["workloads"]["mutants"]
+    assert summary["rounds"] == {"parent": [3, 4], "change": [5, 6]}
+    assert summary["metrics"]["peak_rss_mb"]["values"] == {
+        "parent": [21.0, 22.0], "change": [21.0, 22.0]}
+    # the side that runs first alternates, then one traced run a side
+    assert calls == [("parent", 1, 0), ("change", 1, 0), ("change", 2, 0),
+                     ("parent", 2, 0), ("parent", 1, 1), ("change", 1, 1)]

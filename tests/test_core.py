@@ -81,20 +81,58 @@ class TestMultisetHelpers:
     def test_splits_empty_take(self):
         assert multiset_splits((1, 2, 2), 0) == [((), (1, 2, 2))]
 
+    def test_splits_ordered_by_descending_taken(self):
+        assert multiset_splits((1, 1, 2, 3), 2) == [
+            ((2, 3), (1, 1)), ((1, 3), (1, 2)), ((1, 2), (1, 3)), ((1, 1), (2, 3))]
+
     @settings(max_examples=80, derandomize=True)
-    @given(st.lists(st.integers(0, 4), min_size=1, max_size=7),
-           st.data())
-    def test_splits_match_positional_enumeration(self, values, data):
+    @given(st.lists(st.integers(0, 4), min_size=1, max_size=7))
+    def test_splits_match_positional_enumeration(self, values):
         ms = tuple(sorted(values))
-        k = data.draw(st.integers(0, len(ms)))
-        got = multiset_splits(ms, k)
-        assert len(got) == len(set(got))
-        expect = set()
-        for positions in itertools.combinations(range(len(ms)), k):
-            taken = tuple(ms[i] for i in positions)
-            rest = tuple(ms[i] for i in range(len(ms)) if i not in positions)
-            expect.add((taken, rest))
-        assert set(got) == expect
+        for k in range(len(ms) + 2):
+            got = multiset_splits(ms, k)
+            # the order picks validate's ASSOC witnesses, so it is pinned too
+            assert got == _recursive_splits(ms, k)
+            expect = set()
+            for positions in itertools.combinations(range(len(ms)), k):
+                taken = tuple(ms[i] for i in positions)
+                rest = tuple(ms[i] for i in range(len(ms)) if i not in positions)
+                expect.add((taken, rest))
+            assert len(got) == len(set(got))
+            assert set(got) == expect
+
+
+def _recursive_splits(ms, k):
+    """The earlier recursive enumerator, kept as the ordered oracle."""
+    groups = []
+    for v in ms:
+        if groups and groups[-1][0] == v:
+            groups[-1] = (v, groups[-1][1] + 1)
+        else:
+            groups.append((v, 1))
+    suffix = [0] * (len(groups) + 1)
+    for i in range(len(groups) - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + groups[i][1]
+    out = []
+    taken = []
+    rest = []
+
+    def rec(gi, need):
+        if gi == len(groups):
+            if need == 0:
+                out.append((tuple(taken), tuple(rest)))
+            return
+        v, c = groups[gi]
+        low = max(0, need - (suffix[gi] - c))
+        for take in range(low, min(c, need) + 1):
+            taken.extend([v] * take)
+            rest.extend([v] * (c - take))
+            rec(gi + 1, need - take)
+            del taken[len(taken) - take:]
+            del rest[len(rest) - (c - take):]
+
+    rec(0, k)
+    return out
 
 
 class TestTableConstruction:

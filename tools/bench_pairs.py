@@ -16,7 +16,8 @@ least 2, since the quartiles need two runs a side.
 
 For every end-to-end metric of BENCHMARK.json the output gives each side's
 median and quartiles, the ratio of the medians and the pairs the change won
-(ties count for neither); it also keeps every run's raw values.
+(ties count for neither); it also keeps every run's raw values and, per
+side, every run's round count.
 """
 
 from __future__ import annotations
@@ -34,12 +35,16 @@ SIDES = ("parent", "change")
 
 
 def run(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One perfbench run in ``root``; the JSON object it prints last."""
+    """One perfbench run in ``root``: the JSON object it prints last, with
+    the run's round count and unmeasured metrics from its record file."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
         cwd=root, capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    record = json.loads((root / ".perfbench_work" / "results" /
+                         f"{workload}-seed{seed}-trace{trace}.json").read_text())
+    return {**result, "rounds": record["rounds"], "unmeasured": record["unmeasured"]}
 
 
 def workload_spec(text: str) -> tuple[str, int]:
@@ -97,21 +102,22 @@ def main(argv=None) -> int:
                 runs[side].append(result)
                 print(f"{workload} seed={seed} {side}: ops_per_s="
                       f"{result['metrics']['ops_per_s']['value']:.4g} "
-                      f"correct={result['correct']}", file=sys.stderr, flush=True)
+                      f"rounds={result['rounds']} correct={result['correct']}",
+                      file=sys.stderr, flush=True)
         traced = {side: run(roots[side], workload, seeds[0], 1, 1) for side in SIDES}
         record["workloads"][workload] = {
             "seeds": seeds,
             "pairs": len(seeds),
             "failed_ops": {side: sum(r["failed"] for r in runs[side]) for side in SIDES},
             "attempted_ops": {side: sum(r["attempted"] for r in runs[side]) for side in SIDES},
+            # peak_rss_mb is a median over a run's rounds, and a round's RSS
+            # grows with the rounds before it, so the counts go next to it
+            "rounds": {side: [r["rounds"] for r in runs[side]] for side in SIDES},
             "metrics": summarise(runs, metrics),
             "traced": {
                 side: {name: m["value"] for name, m in traced[side]["metrics"].items()}
                 for side in SIDES},
-            "traced_unmeasured": {
-                side: json.loads((roots[side] / ".perfbench_work" / "results" /
-                                  f"{workload}-seed{seeds[0]}-trace1.json").read_text())
-                ["unmeasured"] for side in SIDES},
+            "traced_unmeasured": {side: traced[side]["unmeasured"] for side in SIDES},
         }
         args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0
