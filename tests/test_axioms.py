@@ -28,7 +28,7 @@ def test_high_arity_scan_stays_fast():
     # instead of runs of equal values makes C(29, 15) splits of each.
     a = H.HyperStructure.from_tables(
         2, 15, ("0", "1"),
-        {ms: ((sum(ms) % 2),) for ms in itertools.combinations_with_replacement(range(2), 2)},
+        {ms: (sum(ms) % 2,) for ms in itertools.combinations_with_replacement(range(2), 2)},
         {ms: min(ms) for ms in itertools.combinations_with_replacement(range(2), 15)},
         zero=0, one=1)
     start = time.monotonic()

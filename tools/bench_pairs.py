@@ -110,8 +110,9 @@ def main(argv=None) -> int:
             "pairs": len(seeds),
             "failed_ops": {side: sum(r["failed"] for r in runs[side]) for side in SIDES},
             "attempted_ops": {side: sum(r["attempted"] for r in runs[side]) for side in SIDES},
-            # peak_rss_mb is a median over a run's rounds, and a round's RSS
-            # grows with the rounds before it, so the counts go next to it
+            # peak_rss_mb is a median over a run's rounds, and each round's
+            # RSS follows its call order, drawn from the seed round by round:
+            # runs with different round counts read different medians
             "rounds": {side: [r["rounds"] for r in runs[side]] for side in SIDES},
             "metrics": summarise(runs, metrics),
             "traced": {
