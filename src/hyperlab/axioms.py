@@ -3,14 +3,21 @@
 Every check is an exhaustive scan over the finite carrier.  Because the
 stored tables are commutative by construction, scanning sorted multisets is
 equivalent to scanning all argument tuples; counterexamples are therefore
-reported as sorted tuples.  Violations come back in a fixed order (axiom
-order below, lexicographic witnesses inside each axiom) and every violation
-can be re-checked against the structure with :func:`replay`.
+reported as sorted tuples.
+
+The axioms form one registry: ``HYPERGROUP_AXIOMS`` and ``G_AXIOMS`` map
+each axiom name, in check order, to a scan that yields ``(witness, detail)``
+pairs in lexicographic witness order, and ``AXIOM_ORDER`` is their keys.
+Violations therefore come back in a fixed order (axiom order, then witness
+order).  The scans are generators, so ``first_violation`` stops inside the
+first failing scan, at its first witness.  Every violation can be re-checked
+against the structure with :func:`replay`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Sequence
 
 from .core import (
@@ -22,19 +29,6 @@ from .core import (
     multisets,
 )
 from .errors import ArityError
-
-AXIOM_ORDER = (
-    "F_VALUE_EMPTY",
-    "NEUTRAL",
-    "INVERSE_UNIQUE",
-    "ASSOC_F",
-    "REVERSIBILITY",
-    "QUASI_SOLVABLE",
-    "ASSOC_G",
-    "DISTRIB",
-    "ZERO_ABSORB",
-    "ONE_IDENTITY",
-)
 
 
 @dataclass(frozen=True)
@@ -59,13 +53,10 @@ def _nested_g(a: HyperStructure, inner: tuple[int, ...], outer: tuple[int, ...])
     return table[insert_sorted(outer, table[inner])]
 
 
-def _assoc_violations(a: HyperStructure, op: str, first: bool) -> list[AxiomViolation]:
+def _assoc(a: HyperStructure, k: int, nested):
     # Any two length-k windows of a (2k-1)-tuple overlap in at least one slot,
     # so every pair of k-sub-multisets occurs as a window pair of some tuple:
     # requiring all splits of each multiset to agree covers all position pairs.
-    k = a.m if op == "ASSOC_F" else a.n
-    nested = _nested_f if op == "ASSOC_F" else _nested_g
-    out: list[AxiomViolation] = []
     for ms in multisets(a.size, 2 * k - 1):
         base_inner = None
         base_val = None
@@ -75,62 +66,38 @@ def _assoc_violations(a: HyperStructure, op: str, first: bool) -> list[AxiomViol
                 base_inner, base_val = inner, val
             elif val != base_val:
                 names = a.render_elements
-                out.append(AxiomViolation(
-                    op, (ms, base_inner, inner),
-                    f"nesting {names(base_inner)} and {names(inner)} inside "
-                    f"{names(ms)} give different results",
-                ))
-                if first:
-                    return out
+                yield ((ms, base_inner, inner),
+                       f"nesting {names(base_inner)} and {names(inner)} inside "
+                       f"{names(ms)} give different results")
                 break
-    return out
 
 
-def _neutral_violations(a: HyperStructure, first: bool) -> list[AxiomViolation]:
-    out = []
+def _neutral(a: HyperStructure):
     pad = (a.zero,) * (a.m - 1)
-    for x in range(a.size):
-        value = a.f_table[tuple(sorted((x,) + pad))]
-        if value.mask != 1 << x:
-            out.append(AxiomViolation(
-                "NEUTRAL", (x,),
-                f"f({a.names[x]}, zero^{a.m - 1}) = {value.render(a.names)}, "
-                f"expected {{{a.names[x]}}}",
-            ))
-            if first:
-                return out
-    if out:
-        return out
+    values = [a.f_table[tuple(sorted((x,) + pad))] for x in range(a.size)]
+    wrong = [x for x, value in enumerate(values) if value.mask != 1 << x]
+    for x in wrong:
+        yield ((x,),
+               f"f({a.names[x]}, zero^{a.m - 1}) = {values[x].render(a.names)}, "
+               f"expected {{{a.names[x]}}}")
+    if wrong:
+        return
     for e in range(a.size):
         if e != a.zero and _is_scalar_neutral(a, e):
-            out.append(AxiomViolation(
-                "NEUTRAL", (e,),
-                f"{a.names[e]} is a second scalar neutral besides zero",
-            ))
-            if first:
-                return out
-    return out
+            yield (e,), f"{a.names[e]} is a second scalar neutral besides zero"
 
 
-def _inverse_violations(a: HyperStructure, first: bool) -> list[AxiomViolation]:
-    out = []
+def _inverses(a: HyperStructure):
     for x in range(a.size):
         if x in a.inverse_map:
             continue  # exactly one candidate
         cands = inverse_candidates(a, x)
         shown = "{" + ",".join(a.names[c] for c in cands) + "}"
-        out.append(AxiomViolation(
-            "INVERSE_UNIQUE", (x,),
-            f"{a.names[x]} has {len(cands)} inverse candidates {shown}",
-        ))
-        if first:
-            return out
-    return out
+        yield (x,), f"{a.names[x]} has {len(cands)} inverse candidates {shown}"
 
 
-def _reversibility_violations(a: HyperStructure, first: bool) -> list[AxiomViolation]:
+def _reversibility(a: HyperStructure):
     inv = a.inverse_map
-    out = []
     for ms in multisets(a.size, a.m):
         value = a.f_table[ms]
         for x in value:
@@ -142,18 +109,12 @@ def _reversibility_violations(a: HyperStructure, first: bool) -> list[AxiomViola
                     continue  # reported under INVERSE_UNIQUE
                 args = tuple(sorted((x,) + tuple(inv[o] for o in others)))
                 if kept not in a.f_table[args]:
-                    out.append(AxiomViolation(
-                        "REVERSIBILITY", (ms, x, i),
-                        f"{a.names[x]} lies in f{a.render_elements(ms)} but "
-                        f"{a.names[kept]} is not recoverable from position {i}",
-                    ))
-                    if first:
-                        return out
-    return out
+                    yield ((ms, x, i),
+                           f"{a.names[x]} lies in f{a.render_elements(ms)} but "
+                           f"{a.names[kept]} is not recoverable from position {i}")
 
 
-def _solvability_violations(a: HyperStructure, first: bool) -> list[AxiomViolation]:
-    out = []
+def _solvability(a: HyperStructure):
     full = (1 << a.size) - 1
     for ctx in multisets(a.size, a.m - 1):
         mask = 0
@@ -164,28 +125,18 @@ def _solvability_violations(a: HyperStructure, first: bool) -> list[AxiomViolati
         if mask != full:
             b = (~mask & full)
             b = (b & -b).bit_length() - 1
-            out.append(AxiomViolation(
-                "QUASI_SOLVABLE", (ctx, b),
-                f"{a.names[b]} is not reachable from f{a.render_elements(ctx)} "
-                f"for any choice of the remaining argument",
-            ))
-            if first:
-                return out
-    return out
+            yield ((ctx, b),
+                   f"{a.names[b]} is not reachable from f{a.render_elements(ctx)} "
+                   f"for any choice of the remaining argument")
 
 
-def _empty_value_violations(a: HyperStructure, first: bool) -> list[AxiomViolation]:
-    out = []
+def _empty_values(a: HyperStructure):
     for ms, value in sorted(a.f_table.items()):
         if not value:
-            out.append(AxiomViolation("F_VALUE_EMPTY", (ms,), f"f{a.render_elements(ms)} is empty"))
-            if first:
-                return out
-    return out
+            yield (ms,), f"f{a.render_elements(ms)} is empty"
 
 
-def _distrib_violations(a: HyperStructure, first: bool) -> list[AxiomViolation]:
-    out = []
+def _distrib(a: HyperStructure):
     for ctx in multisets(a.size, a.n - 1):
         scaled = [a.g_table[insert_sorted(ctx, x)] for x in range(a.size)]
         for ms in multisets(a.size, a.m):
@@ -194,89 +145,67 @@ def _distrib_violations(a: HyperStructure, first: bool) -> list[AxiomViolation]:
                 lhs |= 1 << scaled[t]
             rhs = a.f_table[tuple(sorted(scaled[x] for x in ms))].mask
             if lhs != rhs:
-                out.append(AxiomViolation(
-                    "DISTRIB", (ctx, ms),
-                    f"g over f{a.render_elements(ms)} with fixed arguments "
-                    f"{a.render_elements(ctx)} is {ElementSet(lhs, a.size).render(a.names)}, "
-                    f"expected {ElementSet(rhs, a.size).render(a.names)}",
-                ))
-                if first:
-                    return out
+                yield ((ctx, ms),
+                       f"g over f{a.render_elements(ms)} with fixed arguments "
+                       f"{a.render_elements(ctx)} is {ElementSet(lhs, a.size).render(a.names)}, "
+                       f"expected {ElementSet(rhs, a.size).render(a.names)}")
                 break
-    return out
 
 
-def _zero_absorb_violations(a: HyperStructure, first: bool) -> list[AxiomViolation]:
-    out = []
+def _zero_absorb(a: HyperStructure):
     for ctx in multisets(a.size, a.n - 1):
         got = a.g_table[insert_sorted(ctx, a.zero)]
         if got != a.zero:
-            out.append(AxiomViolation(
-                "ZERO_ABSORB", (ctx,),
-                f"g(zero, {a.render_elements(ctx)}) = {a.names[got]}, expected zero",
-            ))
-            if first:
-                return out
-    return out
+            yield (ctx,), f"g(zero, {a.render_elements(ctx)}) = {a.names[got]}, expected zero"
 
 
-def _one_identity_violations(a: HyperStructure, first: bool) -> list[AxiomViolation]:
+def _one_identity(a: HyperStructure):
     if a.one is None:
-        return []
-    out = []
+        return
     pad = (a.one,) * (a.n - 1)
     for x in range(a.size):
         got = a.g_table[tuple(sorted((x,) + pad))]
         if got != x:
-            out.append(AxiomViolation(
-                "ONE_IDENTITY", (x,),
-                f"g({a.names[x]}, one^{a.n - 1}) = {a.names[got]}, expected {a.names[x]}",
-            ))
-            if first:
-                return out
-    return out
+            yield (x,), f"g({a.names[x]}, one^{a.n - 1}) = {a.names[got]}, expected {a.names[x]}"
+
+
+# axiom name -> scan, in check order: the canonical m-ary hypergroup (A, f),
+# then the g-side axioms of a Krasner (m, n)-hyperring
+HYPERGROUP_AXIOMS = {
+    "F_VALUE_EMPTY": _empty_values,
+    "NEUTRAL": _neutral,
+    "INVERSE_UNIQUE": _inverses,
+    "ASSOC_F": lambda a: _assoc(a, a.m, _nested_f),
+    "REVERSIBILITY": _reversibility,
+    "QUASI_SOLVABLE": _solvability,
+}
+G_AXIOMS = {
+    "ASSOC_G": lambda a: _assoc(a, a.n, _nested_g),
+    "DISTRIB": _distrib,
+    "ZERO_ABSORB": _zero_absorb,
+    "ONE_IDENTITY": _one_identity,
+}
+AXIOM_ORDER = (*HYPERGROUP_AXIOMS, *G_AXIOMS)
+
+
+def _scan(a: HyperStructure, axioms: dict, first: bool) -> list[AxiomViolation]:
+    found = (AxiomViolation(axiom, witness, detail)
+             for axiom, scan in axioms.items()
+             for witness, detail in scan(a))
+    return list(islice(found, 1 if first else None))
 
 
 def check_canonical_hypergroup(a: HyperStructure, first_violation: bool = False) -> list[AxiomViolation]:
     """Check (A, f) against the canonical m-ary hypergroup axioms."""
-    out: list[AxiomViolation] = []
-    for step in (
-        _empty_value_violations,
-        _neutral_violations,
-        _inverse_violations,
-        _assoc_f_step,
-        _reversibility_violations,
-        _solvability_violations,
-    ):
-        out.extend(step(a, first_violation))
-        if first_violation and out:
-            return out[:1]
-    return out
-
-
-def _assoc_f_step(a: HyperStructure, first: bool) -> list[AxiomViolation]:
-    return _assoc_violations(a, "ASSOC_F", first)
-
-
-def _assoc_g_step(a: HyperStructure, first: bool) -> list[AxiomViolation]:
-    return _assoc_violations(a, "ASSOC_G", first)
+    return _scan(a, HYPERGROUP_AXIOMS, first_violation)
 
 
 def check_krasner(a: HyperStructure, first_violation: bool = False) -> list[AxiomViolation]:
     """Full structure check: canonical hypergroup plus the g-side axioms."""
     out = check_canonical_hypergroup(a, first_violation)
     if first_violation and out:
-        return out[:1]
-    for step in (
-        _assoc_g_step,
-        _distrib_violations,
-        _zero_absorb_violations,
-        _one_identity_violations,
-    ):
-        out.extend(step(a, first_violation))
-        if first_violation and out:
-            return out[:1]
-    return out
+        return out
+    return out + _scan(a, G_AXIOMS, first_violation)
 
 
 def replay(a: HyperStructure, violation: AxiomViolation) -> bool:

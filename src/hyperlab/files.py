@@ -2,9 +2,9 @@
 
 Document shape: ``{"name", "m", "n", "carrier", "zero", "one"?, "f", "g"}``
 where f maps comma-joined element names to arrays of names and g maps them
-to a single name.  Keys may be written in any argument order; the loader
-folds them by commutativity and rejects two permutations of the same
-multiset carrying different values.
+to a single name, so no element name may contain a comma.  Keys may be
+written in any argument order; the loader folds them by commutativity and
+rejects two permutations of the same multiset carrying different values.
 """
 
 from __future__ import annotations
@@ -13,10 +13,17 @@ import json
 from pathlib import Path
 
 from .core import HyperStructure
-from .errors import LoadError
+from .errors import LoadError, TableError
+
+# a table key joins its argument names with this; a name may not contain it
+KEY_SEPARATOR = ","
 
 
 def structure_to_document(a: HyperStructure) -> dict:
+    for name in a.names:
+        if KEY_SEPARATOR in name:
+            raise TableError(f"element name {name!r} contains {KEY_SEPARATOR!r}, "
+                             f"which separates the names of a table key")
     doc: dict = {
         "name": a.label,
         "m": a.m,
@@ -27,11 +34,11 @@ def structure_to_document(a: HyperStructure) -> dict:
     if a.one is not None:
         doc["one"] = a.names[a.one]
     doc["f"] = {
-        ",".join(a.names[i] for i in ms): [a.names[v] for v in value]
+        KEY_SEPARATOR.join(a.names[i] for i in ms): [a.names[v] for v in value]
         for ms, value in sorted(a.f_table.items())
     }
     doc["g"] = {
-        ",".join(a.names[i] for i in ms): a.names[value]
+        KEY_SEPARATOR.join(a.names[i] for i in ms): a.names[value]
         for ms, value in sorted(a.g_table.items())
     }
     return doc
@@ -58,6 +65,10 @@ def document_to_structure(doc: object) -> HyperStructure:
     if (not isinstance(carrier, list)
             or not all(isinstance(x, str) for x in carrier)):
         raise LoadError("carrier must be a list of element names")
+    for name in carrier:
+        if KEY_SEPARATOR in name:
+            raise LoadError(f"carrier name {name!r} contains {KEY_SEPARATOR!r}, "
+                            f"which separates the names of a table key")
     index = {name: i for i, name in enumerate(carrier)}
     if len(index) != len(carrier):
         raise LoadError("carrier contains duplicate names")
@@ -77,13 +88,13 @@ def document_to_structure(doc: object) -> HyperStructure:
         raise LoadError("document must carry f and g tables")
     f_entries = {}
     for key, value in f_doc.items():
-        args = tuple(resolve(p, f"f key {key!r}") for p in key.split(","))
+        args = tuple(resolve(p, f"f key {key!r}") for p in key.split(KEY_SEPARATOR))
         if not isinstance(value, list):
             raise LoadError(f"f value for {key!r} must be an array of names")
         f_entries[args] = tuple(resolve(v, f"f value for {key!r}") for v in value)
     g_entries = {}
     for key, value in g_doc.items():
-        args = tuple(resolve(p, f"g key {key!r}") for p in key.split(","))
+        args = tuple(resolve(p, f"g key {key!r}") for p in key.split(KEY_SEPARATOR))
         g_entries[args] = resolve(value, f"g value for {key!r}")
 
     try:

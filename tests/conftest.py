@@ -67,3 +67,30 @@ def mutated(a, *, f_key=None, f_value=None, g_key=None, g_value=None):
     return H.HyperStructure.from_tables(
         a.m, a.n, a.names, f_entries, g_entries, a.zero, a.one,
         label=a.label + "-mutated")
+
+
+# (base, operation, sorted key, new value): one table entry replaced.  With
+# paper-3-3 these are the inputs whose violations tests/test_golden.py pins.
+VALIDATE_MUTANTS = (
+    ("paper-2-4", "f", (3, 3), (0, 2)),
+    ("paper-2-4", "f", (1, 1), (0, 1, 2, 3)),
+    ("paper-2-4", "g", (1, 1, 1, 3), 3),
+    ("ring:Z6", "f", (0, 4), (0, 2, 4, 5)),
+    ("ring:Z6", "f", (4, 4), (1, 2, 3, 5)),
+    ("ring:Z6", "g", (2, 4), 3),
+    ("ring:Z2xZ4", "f", (2, 6), (1, 4, 5, 6)),
+    ("ring:Z2xZ4", "f", (4, 4), (0, 1, 3, 4, 7)),
+    ("ring:Z2xZ4", "g", (2, 5), 1),
+)
+
+# test ids of validate_inputs(), in the same order
+VALIDATE_IDS = ("paper-3-3", *(f"{base}-{op}{''.join(map(str, key))}"
+                               for base, op, key, _ in VALIDATE_MUTANTS))
+
+
+def validate_inputs():
+    yield H.fixture("paper-3-3").structure
+    for base, op, key, value in VALIDATE_MUTANTS:
+        a = H.fixture(base).structure
+        yield (mutated(a, f_key=key, f_value=value) if op == "f"
+               else mutated(a, g_key=key, g_value=value))

@@ -131,3 +131,18 @@ def test_document_text_is_plain_json(z4):
     assert doc["carrier"] == ["0", "1", "2", "3"]
     assert doc["zero"] == "0"
     assert set(doc) == {"name", "m", "n", "carrier", "zero", "one", "f", "g"}
+
+
+def test_comma_in_element_name_is_refused():
+    # from_tables accepts any distinct names, but a document key joins the
+    # names of a multiset with commas, so "a,b" could not be read back
+    a = H.HyperStructure.from_tables(
+        2, 2, ("0", "a,b"),
+        {(0, 0): (0,), (0, 1): (1,), (1, 1): (0,)},
+        {(0, 0): 0, (0, 1): 0, (1, 1): 1}, zero=0, one=1)
+    with pytest.raises(H.TableError, match="'a,b'"):
+        H.serialize(a)
+    doc = doc_for("ring:Z2")
+    doc["carrier"] = ["0", "a,b"]
+    with pytest.raises(H.LoadError, match="carrier name 'a,b' contains ','"):
+        H.document_to_structure(doc)

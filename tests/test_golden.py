@@ -6,10 +6,11 @@ registries were merged, so any change to a report byte (a reason, a
 certificate, an instance order) fails here.
 
 `validate`: the rendered `check_krasner` violations (axiom, witness,
-detail) of paper-3-3 and of fixed one-entry f- and g-mutants, in full and
-with ``first_violation=True``.  An ASSOC witness names the first split of
-its multiset in `core.multiset_splits` order and the first that disagrees
-with it, so these digests also pin that order.  They were captured before
+detail) of paper-3-3 and of fixed one-entry f- and g-mutants
+(`conftest.validate_inputs`), in full and with ``first_violation=True``.
+An ASSOC witness names the first split of its multiset in
+`core.multiset_splits` order and the first that disagrees with it, so these
+digests also pin that order.  They were captured before
 `multiset_splits` was rewritten as a product over run prefixes.
 
 Regenerate a digest only for a change that is meant to alter its bytes.
@@ -23,7 +24,7 @@ import pytest
 import hyperlab as H
 from hyperlab.cli import main
 
-from conftest import mutated
+from conftest import validate_inputs
 
 GOLDEN = {
     ("theorems", "--json"):
@@ -32,31 +33,10 @@ GOLDEN = {
         "68666881122e589913820f1eac653306c5019ac0b1fb6a862f4acb3a6f18b913",
 }
 
-# (base, operation, sorted key, new value): one table entry replaced
-VALIDATE_MUTANTS = (
-    ("paper-2-4", "f", (3, 3), (0, 2)),
-    ("paper-2-4", "f", (1, 1), (0, 1, 2, 3)),
-    ("paper-2-4", "g", (1, 1, 1, 3), 3),
-    ("ring:Z6", "f", (0, 4), (0, 2, 4, 5)),
-    ("ring:Z6", "f", (4, 4), (1, 2, 3, 5)),
-    ("ring:Z6", "g", (2, 4), 3),
-    ("ring:Z2xZ4", "f", (2, 6), (1, 4, 5, 6)),
-    ("ring:Z2xZ4", "f", (4, 4), (0, 1, 3, 4, 7)),
-    ("ring:Z2xZ4", "g", (2, 5), 1),
-)
-
 VALIDATE_GOLDEN = {
     False: "6ad0e455c8448eee62e91453d899afee13f2f366d877d7b700d07894205e37dc",
     True: "561b469da0df9da19268f6fb53bda280762a3b983341f0cb834ed340a48310b6",
 }
-
-
-def _validate_inputs():
-    yield H.fixture("paper-3-3").structure
-    for base, op, key, value in VALIDATE_MUTANTS:
-        a = H.fixture(base).structure
-        yield (mutated(a, f_key=key, f_value=value) if op == "f"
-               else mutated(a, g_key=key, g_value=value))
 
 
 @pytest.mark.parametrize("argv", list(GOLDEN), ids=" ".join)
@@ -69,7 +49,7 @@ def test_default_corpus_report_bytes(capsys, argv):
 @pytest.mark.parametrize("first", list(VALIDATE_GOLDEN), ids=["all", "first"])
 def test_validate_witness_bytes(first):
     lines = []
-    for a in _validate_inputs():
+    for a in validate_inputs():
         for v in H.check_krasner(a, first_violation=first):
             lines.append(f"{a.label}\t{v.axiom}\t{v.witness}\t{v.detail}\n")
     digest = hashlib.sha256("".join(lines).encode("utf-8")).hexdigest()
@@ -80,7 +60,7 @@ def test_validate_golden_reaches_ordered_assoc_witnesses():
     # the digests pin the split order only through an ASSOC witness whose
     # multiset has three or more distinct splits
     reached = set()
-    for a in _validate_inputs():
+    for a in validate_inputs():
         for v in H.check_krasner(a):
             if v.axiom in ("ASSOC_F", "ASSOC_G"):
                 k = a.m if v.axiom == "ASSOC_F" else a.n
