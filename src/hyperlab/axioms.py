@@ -1,9 +1,16 @@
 """Axiom checks for canonical m-ary hypergroups and Krasner (m, n)-hyperrings.
 
-Every check is an exhaustive scan over the finite carrier.  Because the
-stored tables are commutative by construction, scanning sorted multisets is
+Every check is exhaustive over the finite carrier.  Because the stored
+tables are commutative by construction, scanning sorted multisets is
 equivalent to scanning all argument tuples; counterexamples are therefore
 reported as sorted tuples.
+
+ASSOC_F and ASSOC_G are decided by composing translation rows (Post,
+*Polyadic groups*, 1940): the row of a (k-1)-multiset O is x -> op(O + {x}),
+equal rows are interned to one id, and a commutative operation is
+associative exactly when its distinct rows commute pairwise.  The
+all-splits scan runs only when this test fails, to name the witnesses.
+DISTRIB decides each context once per distinct translation row of g.
 
 The axioms form one registry: ``HYPERGROUP_AXIOMS`` and ``G_AXIOMS`` map
 each axiom name, in check order, to a scan that yields ``(witness, detail)``
@@ -17,7 +24,7 @@ against the structure with :func:`replay`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import combinations, islice
 from typing import Sequence
 
 from .core import (
@@ -51,6 +58,59 @@ def _nested_f(a: HyperStructure, inner: tuple[int, ...], outer: tuple[int, ...])
 def _nested_g(a: HyperStructure, inner: tuple[int, ...], outer: tuple[int, ...]) -> int:
     table = a.g_table
     return table[insert_sorted(outer, table[inner])]
+
+
+def _translations(size: int, k: int, table: dict) -> tuple[dict, list]:
+    """Translation rows of an operation table of arity k with int values.
+
+    The row of a (k-1)-multiset O is ``x -> table[O + {x}]`` over the
+    carrier; equal rows are interned to one id.  Returns ``({O: id}, rows)``
+    with ``rows[id]`` the row as a tuple, contexts in lexicographic order.
+    """
+    ids: dict[tuple[int, ...], int] = {}
+    return ({ctx: ids.setdefault(tuple(table[insert_sorted(ctx, x)] for x in range(size)),
+                                 len(ids))
+             for ctx in multisets(size, k - 1)}, list(ids))
+
+
+def _f_translations(a: HyperStructure) -> tuple[dict, list]:
+    return _translations(a.size, a.m, {ms: value.mask for ms, value in a.f_table.items()})
+
+
+def _g_translations(a: HyperStructure) -> tuple[dict, list]:
+    return _translations(a.size, a.n, a.g_table)
+
+
+def _compose_f(outer: tuple[int, ...], inner: tuple[int, ...]) -> tuple[int, ...]:
+    # mask-valued rows: x -> union of outer[t] over t in inner[x]
+    out = []
+    for mask in inner:
+        image = 0
+        while mask:
+            low = mask & -mask
+            image |= outer[low.bit_length() - 1]
+            mask ^= low
+        out.append(image)
+    return tuple(out)
+
+
+def _compose_g(outer: tuple[int, ...], inner: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(outer[t] for t in inner)
+
+
+def _commute(rows: list, compose) -> bool:
+    """Whether the distinct translation rows commute pairwise, that is,
+    whether every split of every (2k-1)-multiset agrees.
+
+    A split with outer O and inner J + {x} nests to (T[O] o T[J])(x), for T
+    the translation rows, and (T[J] o T[O])(x) is the split with outer J
+    and inner O + {x}.  So if the rows commute, the split (O, S) agrees with
+    (S - {x}, O + {x}) for each x in S; two such steps swap one entry of the
+    outer with one of the inner, and those swaps reach every split.  If
+    some pair does not commute, those two splits disagree.  Both steps use
+    that the table is commutative, which holds by construction.
+    """
+    return all(compose(r, s) == compose(s, r) for r, s in combinations(rows, 2))
 
 
 def _assoc(a: HyperStructure, k: int, nested):
@@ -136,20 +196,32 @@ def _empty_values(a: HyperStructure):
             yield (ms,), f"f{a.render_elements(ms)} is empty"
 
 
+def _undistributed(a: HyperStructure, scaled: tuple[int, ...]):
+    """(ms, lhs, rhs) of the first m-multiset that the scaled row does not
+    distribute over, or None."""
+    for ms in multisets(a.size, a.m):
+        lhs = 0
+        for t in a.f_table[ms]:
+            lhs |= 1 << scaled[t]
+        rhs = a.f_table[tuple(sorted(scaled[x] for x in ms))].mask
+        if lhs != rhs:
+            return ms, lhs, rhs
+    return None
+
+
 def _distrib(a: HyperStructure):
-    for ctx in multisets(a.size, a.n - 1):
-        scaled = [a.g_table[insert_sorted(ctx, x)] for x in range(a.size)]
-        for ms in multisets(a.size, a.m):
-            lhs = 0
-            for t in a.f_table[ms]:
-                lhs |= 1 << scaled[t]
-            rhs = a.f_table[tuple(sorted(scaled[x] for x in ms))].mask
-            if lhs != rhs:
-                yield ((ctx, ms),
-                       f"g over f{a.render_elements(ms)} with fixed arguments "
-                       f"{a.render_elements(ctx)} is {ElementSet(lhs, a.size).render(a.names)}, "
-                       f"expected {ElementSet(rhs, a.size).render(a.names)}")
-                break
+    # the verdict of a context depends only on its translation row of g
+    row_of, rows = _g_translations(a)
+    verdicts: dict[int, tuple | None] = {}
+    for ctx, i in row_of.items():
+        if i not in verdicts:
+            verdicts[i] = _undistributed(a, rows[i])
+        if verdicts[i] is not None:
+            ms, lhs, rhs = verdicts[i]
+            yield ((ctx, ms),
+                   f"g over f{a.render_elements(ms)} with fixed arguments "
+                   f"{a.render_elements(ctx)} is {ElementSet(lhs, a.size).render(a.names)}, "
+                   f"expected {ElementSet(rhs, a.size).render(a.names)}")
 
 
 def _zero_absorb(a: HyperStructure):
@@ -175,12 +247,14 @@ HYPERGROUP_AXIOMS = {
     "F_VALUE_EMPTY": _empty_values,
     "NEUTRAL": _neutral,
     "INVERSE_UNIQUE": _inverses,
-    "ASSOC_F": lambda a: _assoc(a, a.m, _nested_f),
+    "ASSOC_F": lambda a: (() if _commute(_f_translations(a)[1], _compose_f)
+                          else _assoc(a, a.m, _nested_f)),
     "REVERSIBILITY": _reversibility,
     "QUASI_SOLVABLE": _solvability,
 }
 G_AXIOMS = {
-    "ASSOC_G": lambda a: _assoc(a, a.n, _nested_g),
+    "ASSOC_G": lambda a: (() if _commute(_g_translations(a)[1], _compose_g)
+                          else _assoc(a, a.n, _nested_g)),
     "DISTRIB": _distrib,
     "ZERO_ABSORB": _zero_absorb,
     "ONE_IDENTITY": _one_identity,
@@ -223,10 +297,13 @@ def replay(a: HyperStructure, violation: AxiomViolation) -> bool:
         return len(inverse_candidates(a, w[0])) != 1
     if ax in ("ASSOC_F", "ASSOC_G"):
         ms, left, right = w
-        nested = _nested_f if ax == "ASSOC_F" else _nested_g
-        outer_left = _subtract(ms, left)
-        outer_right = _subtract(ms, right)
-        return nested(a, left, outer_left) != nested(a, right, outer_right)
+        k, nested = (a.m, _nested_f) if ax == "ASSOC_F" else (a.n, _nested_g)
+        outer_left = _rest(a, ms, left, k)
+        outer_right = _rest(a, ms, right, k)
+        if outer_left is None or outer_right is None:
+            return False  # not a split of a multiset over the carrier
+        return (nested(a, tuple(sorted(left)), outer_left)
+                != nested(a, tuple(sorted(right)), outer_right))
     if ax == "REVERSIBILITY":
         ms, x, i = w
         inv = a.inverse_map
@@ -261,11 +338,18 @@ def _is_scalar_neutral(a: HyperStructure, e: int) -> bool:
     return all(a.f_table[tuple(sorted((x,) + pad))].mask == 1 << x for x in range(a.size))
 
 
-def _subtract(ms: Sequence[int], part: Sequence[int]) -> tuple[int, ...]:
+def _rest(a: HyperStructure, ms: Sequence[int], part: Sequence[int],
+          k: int) -> tuple[int, ...] | None:
+    """Sorted ``ms`` minus ``part`` when ``part`` is a k-sub-multiset of the
+    (2k-1)-multiset ``ms`` over the carrier; None otherwise."""
+    if len(ms) != 2 * k - 1 or len(part) != k or any(x not in range(a.size) for x in ms):
+        return None
     out = list(ms)
     for v in part:
+        if v not in out:
+            return None
         out.remove(v)
-    return tuple(out)
+    return tuple(sorted(out))
 
 
 def iterate_f(a: HyperStructure, level: int, args: Sequence[int]) -> ElementSet:

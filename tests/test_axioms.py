@@ -1,6 +1,7 @@
 """Axiom scans, violation replay, and the iterated operations."""
 
 import itertools
+import random
 import time
 
 import pytest
@@ -95,6 +96,136 @@ def test_first_violation_stops_inside_the_first_failing_scan(monkeypatch, z6):
     assert len(splits) < full_splits
 
 
+def _z5_derived():
+    # Z/5 as a (3,3)-structure: f = 3-fold sum, g = 3-fold product
+    return H.HyperStructure.from_tables(
+        3, 3, tuple("01234"),
+        {ms: (sum(ms) % 5,) for ms in itertools.combinations_with_replacement(range(5), 3)},
+        {ms: ms[0] * ms[1] * ms[2] % 5
+         for ms in itertools.combinations_with_replacement(range(5), 3)},
+        zero=0, one=1, label="Z5-derived")
+
+
+def _z7_quotient():
+    # the Krasner quotient Z7/G for G = {1,2,4}: classes {0}, G, 3G
+    cosets = ((0,), (1, 2, 4), (3, 5, 6))
+    cls = {x: i for i, coset in enumerate(cosets) for x in coset}
+    pairs = list(itertools.combinations_with_replacement(range(3), 2))
+    return H.HyperStructure.from_tables(
+        2, 2, ("0", "G", "3G"),
+        {(i, j): {cls[(x + y) % 7] for x in cosets[i] for y in cosets[j]} for i, j in pairs},
+        {(i, j): cls[cosets[i][0] * cosets[j][0] % 7] for i, j in pairs},
+        zero=0, one=1, label="Z7/{1,2,4}")
+
+
+ORACLE_BASES = {
+    "paper-2-4": lambda: H.fixture("paper-2-4").structure,
+    "paper-3-3": lambda: H.fixture("paper-3-3").structure,
+    "ring:Z4": lambda: H.fixture("ring:Z4").structure,
+    "ring:Z5": lambda: H.fixture("ring:Z5").structure,
+    "ring:Z6": lambda: H.fixture("ring:Z6").structure,
+    "ring:Z2xZ3": lambda: H.fixture("ring:Z2xZ3").structure,
+    "Z5-derived": _z5_derived,
+    "Z7/{1,2,4}": _z7_quotient,
+}
+
+
+def _one_entry_mutants(a, seed, count=12):
+    """Seeded copies of ``a`` with one f entry (a random non-empty subset)
+    replaced, then as many with one g entry replaced."""
+    rng = random.Random(seed)
+    f_keys, g_keys = sorted(a.f_table), sorted(a.g_table)
+    for _ in range(count):
+        value = [x for x in range(a.size) if rng.random() < 0.5] or [rng.randrange(a.size)]
+        yield "f", mutated(a, f_key=rng.choice(f_keys), f_value=tuple(value))
+    for _ in range(count):
+        yield "g", mutated(a, g_key=rng.choice(g_keys), g_value=rng.randrange(a.size))
+
+
+@pytest.mark.parametrize("base", list(ORACLE_BASES))
+def test_composition_matches_all_splits_scan(base):
+    # the all-splits scan is the oracle of the translation-row test
+    a = ORACLE_BASES[base]()
+    sides = {
+        "ASSOC_F": (a.m, axioms._f_translations, axioms._compose_f, axioms._nested_f),
+        "ASSOC_G": (a.n, axioms._g_translations, axioms._compose_g, axioms._nested_g),
+    }
+    verdicts = {axiom: set() for axiom in sides}
+    for op, b in [("base", a), *_one_entry_mutants(a, seed=base)]:
+        for axiom, (k, translations, compose, nested) in sides.items():
+            fast = axioms._commute(translations(b)[1], compose)
+            oracle = next(axioms._assoc(b, k, nested), None) is None
+            assert fast == oracle, (base, op, axiom)
+            verdicts[axiom].add(fast)
+    assert verdicts == {"ASSOC_F": {True, False}, "ASSOC_G": {True, False}}
+
+
+@pytest.mark.parametrize("op, k, size", [("g", 2, 3), ("g", 3, 2), ("g", 4, 2),
+                                         ("f", 2, 2), ("f", 3, 2)])
+def test_composition_matches_all_splits_scan_on_every_small_table(op, k, size):
+    # every commutative table of one shape, so no case the pairwise
+    # commutation test might miss is left to the seeded draw
+    names = tuple(map(str, range(size)))
+    keys = list(itertools.combinations_with_replacement(range(size), k))
+    values = ([tuple(x for x in range(size) if mask >> x & 1) for mask in range(1, 1 << size)]
+              if op == "f" else range(size))
+    binary = {ms: (0,) for ms in itertools.combinations_with_replacement(range(size), 2)}
+    verdicts = set()
+    for row in itertools.product(values, repeat=len(keys)):
+        table = dict(zip(keys, row))
+        if op == "f":
+            a = H.HyperStructure.from_tables(k, 2, names, table, dict.fromkeys(binary, 0), 0)
+            fast = axioms._commute(axioms._f_translations(a)[1], axioms._compose_f)
+            oracle = next(axioms._assoc(a, k, axioms._nested_f), None) is None
+        else:
+            a = H.HyperStructure.from_tables(2, k, names, binary, table, 0)
+            fast = axioms._commute(axioms._g_translations(a)[1], axioms._compose_g)
+            oracle = next(axioms._assoc(a, k, axioms._nested_g), None) is None
+        assert fast == oracle, table
+        verdicts.add(fast)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("name", ["paper-2-4", "ring:Z12"])
+def test_valid_structure_runs_no_split_scan(monkeypatch, name):
+    a = H.fixture(name).structure
+    nested = []
+
+    def counted(real):
+        def call(*args):
+            nested.append(real.__name__)
+            return real(*args)
+        return call
+
+    monkeypatch.setattr(axioms, "_nested_f", counted(axioms._nested_f))
+    monkeypatch.setattr(axioms, "_nested_g", counted(axioms._nested_g))
+    assert H.check_krasner(a) == []
+    assert nested == []
+
+    # DISTRIB scans the m-multisets once per distinct translation row of g
+    scans = []
+    real_multisets = axioms.multisets
+
+    def counted_multisets(size, k):
+        scans.append(k)
+        return real_multisets(size, k)
+
+    monkeypatch.setattr(axioms, "multisets", counted_multisets)
+    assert list(axioms.G_AXIOMS["DISTRIB"](a)) == []
+    rows = {tuple(a.g_table[tuple(sorted(ctx + (x,)))] for x in range(a.size))
+            for ctx in itertools.combinations_with_replacement(range(a.size), a.n - 1)}
+    assert scans.count(a.m) == len(rows)
+
+
+@pytest.mark.parametrize("base, key, value", [("ring:Z6", (2, 3), 1),
+                                              ("paper-2-4", (1, 1, 1, 3), 3)])
+def test_first_assoc_witness_comes_from_the_all_splits_scan(base, key, value):
+    broken = mutated(H.fixture(base).structure, g_key=key, g_value=value)
+    (first,) = H.check_krasner(broken, first_violation=True)
+    assert first.axiom == "ASSOC_G"
+    assert (first.witness, first.detail) == next(axioms._assoc(broken, broken.n, axioms._nested_g))
+
+
 class TestPrintedTablesDiscrepancy:
     def test_distributivity_fails(self, ex33):
         violations = H.check_krasner(ex33)
@@ -139,6 +270,12 @@ class TestMutations:
     def test_replay_rejects_fabricated_witness(self, z6):
         fake = H.AxiomViolation("ASSOC_G", ((0, 0, 0), (0, 0), (0, 0)), "")
         assert not H.replay(z6, fake)
+        # a witness that is not a split of a multiset over the carrier
+        for witness in (((0, 1, 2), (0, 1), (3, 4)),   # right is not inside ms
+                        ((0, 1, 2), (0, 1, 2), (0,)),  # parts of the wrong size
+                        ((0, 1, 9), (0, 1), (1, 9))):  # 9 is outside the carrier
+            for axiom in ("ASSOC_F", "ASSOC_G"):
+                assert H.replay(z6, H.AxiomViolation(axiom, witness, "")) is False
 
 
 class TestIteratedOperations:

@@ -1,5 +1,5 @@
-"""tools/bench_pairs.py checks its --workload specs before any run starts and
-keeps every run's round count."""
+"""tools/bench_pairs.py checks its --workload specs before any run starts,
+keeps every run's round count and alternates the side traced first."""
 
 import importlib.util
 import json
@@ -61,3 +61,33 @@ def test_round_counts_kept_per_side(tmp_path, monkeypatch):
     # the side that runs first alternates, then one traced run a side
     assert calls == [("parent", 1, 0), ("change", 1, 0), ("change", 2, 0),
                      ("parent", 2, 0), ("parent", 1, 1), ("change", 1, 1)]
+
+
+def test_traced_order_alternates_per_workload(tmp_path, monkeypatch):
+    traced = []
+
+    def fake_run(root, workload, seed, seconds, trace):
+        if trace:
+            traced.append((workload, root.name))
+        return {"correct": True, "attempted": 1, "failed": 0,
+                "metrics": {"ops_per_s": {"value": 1.0, "unit": "1/s"}},
+                "rounds": 1, "unmeasured": {}}
+
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "ops_per_s", "unit": "1/s", "better": "higher"}]}))
+    monkeypatch.setattr(bench_pairs, "run", fake_run)
+    out = tmp_path / "out.json"
+    assert bench_pairs.main(["--parent", str(tmp_path / "parent"),
+                             "--change", str(tmp_path / "change"), "--out", str(out),
+                             "--workload", "validate:2", "--workload", "mutants:2",
+                             "--workload", "ideals:2"]) == 0
+    assert traced == [("validate", "parent"), ("validate", "change"),
+                      ("mutants", "change"), ("mutants", "parent"),
+                      ("ideals", "parent"), ("ideals", "change")]
+    workloads = json.loads(out.read_text())["workloads"]
+    assert {name: w["traced_order"] for name, w in workloads.items()} == {
+        "validate": ["parent", "change"], "mutants": ["change", "parent"],
+        "ideals": ["parent", "change"]}
+    assert all(set(w["traced"]) == {"parent", "change"} for w in workloads.values())

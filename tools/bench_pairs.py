@@ -11,8 +11,11 @@ checkouts paths of equal length, since the path length alone has moved
 checkout, on the same seed and ``--seconds``, the side that runs first
 alternating from pair to pair.  Afterwards one traced round per checkout
 (``--trace 1``) records every per-layer metric under ``traced``: the call
-counts, which repeat exactly, and one round's seconds.  PAIRS must be at
-least 2, since the quartiles need two runs a side.
+counts, which repeat exactly, and one round's seconds.  The side traced
+first alternates from workload to workload and is kept as
+``traced_order``, so host drift between the two traced rounds shows as
+an order effect rather than as a layer change.  PAIRS must be at least 2,
+since the quartiles need two runs a side.
 
 For every end-to-end metric of BENCHMARK.json the output gives each side's
 median and quartiles, the ratio of the medians and the pairs the change won
@@ -93,7 +96,7 @@ def main(argv=None) -> int:
     record = {"host": {"python": platform.python_version(), "machine": platform.machine(),
                        "nproc": os.cpu_count()},
               "seconds": args.seconds, "workloads": {}}
-    for workload, pairs in args.workload:
+    for w, (workload, pairs) in enumerate(args.workload):
         seeds = list(range(args.first_seed, args.first_seed + pairs))
         runs = {side: [] for side in SIDES}
         for i, seed in enumerate(seeds):
@@ -104,7 +107,8 @@ def main(argv=None) -> int:
                       f"{result['metrics']['ops_per_s']['value']:.4g} "
                       f"rounds={result['rounds']} correct={result['correct']}",
                       file=sys.stderr, flush=True)
-        traced = {side: run(roots[side], workload, seeds[0], 1, 1) for side in SIDES}
+        traced_order = SIDES if w % 2 == 0 else SIDES[::-1]
+        traced = {side: run(roots[side], workload, seeds[0], 1, 1) for side in traced_order}
         record["workloads"][workload] = {
             "seeds": seeds,
             "pairs": len(seeds),
@@ -115,6 +119,7 @@ def main(argv=None) -> int:
             # runs with different round counts read different medians
             "rounds": {side: [r["rounds"] for r in runs[side]] for side in SIDES},
             "metrics": summarise(runs, metrics),
+            "traced_order": list(traced_order),
             "traced": {
                 side: {name: m["value"] for name, m in traced[side]["metrics"].items()}
                 for side in SIDES},
