@@ -8,9 +8,15 @@ reported as sorted tuples.
 ASSOC_F and ASSOC_G are decided by composing translation rows (Post,
 *Polyadic groups*, 1940): the row of a (k-1)-multiset O is x -> op(O + {x}),
 equal rows are interned to one id, and a commutative operation is
-associative exactly when its distinct rows commute pairwise.  The
-all-splits scan runs only when this test fails, to name the witnesses.
-DISTRIB decides each context once per distinct translation row of g.
+associative exactly when its distinct rows commute pairwise.  An f row is
+composed through its image table, which sends each f-value mask to the
+union of the row over the bits of the mask.  DISTRIB is decided once per
+distinct translation row r of g, also by row images: for every
+(m-1)-multiset O, the image of f's row of O under r must equal f's row of
+sorted r(O), composed with r.  The all-splits scan (for ASSOC) and the
+per-multiset scan ``_undistributed`` (for DISTRIB) run only when such a
+test fails, to name the witnesses.  The scans of one check share one
+holder of the f and g translation tables, each built on first read.
 
 The axioms form one registry: ``HYPERGROUP_AXIOMS`` and ``G_AXIOMS`` map
 each axiom name, in check order, to a scan that yields ``(witness, detail)``
@@ -24,7 +30,9 @@ against the structure with :func:`replay`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, islice
+from operator import itemgetter
 from typing import Sequence
 
 from .core import (
@@ -73,34 +81,57 @@ def _translations(size: int, k: int, table: dict) -> tuple[dict, list]:
              for ctx in multisets(size, k - 1)}, list(ids))
 
 
-def _f_translations(a: HyperStructure) -> tuple[dict, list]:
-    return _translations(a.size, a.m, {ms: value.mask for ms, value in a.f_table.items()})
+class _Tables:
+    """The f and g translation tables of one structure for one check, each
+    built on first read, so the scans of the check share one build."""
+
+    def __init__(self, a: HyperStructure) -> None:
+        self.a = a
+
+    @cached_property
+    def f(self) -> tuple[dict, list]:
+        a = self.a
+        return _translations(a.size, a.m, {ms: value.mask for ms, value in a.f_table.items()})
+
+    @cached_property
+    def g(self) -> tuple[dict, list]:
+        return _translations(self.a.size, self.a.n, self.a.g_table)
+
+    @cached_property
+    def f_masks(self) -> list[int]:
+        """The distinct masks that f takes, in the order of image tables."""
+        return list(set().union(*self.f[1]))
+
+    @cached_property
+    def f_getters(self) -> list:
+        """Per distinct f row, the itemgetter of its masks' positions in
+        ``f_masks``: applied to an image table, it composes that table's row
+        after this one."""
+        position = {mask: i for i, mask in enumerate(self.f_masks)}
+        return [itemgetter(*map(position.__getitem__, row)) for row in self.f[1]]
 
 
-def _g_translations(a: HyperStructure) -> tuple[dict, list]:
-    return _translations(a.size, a.n, a.g_table)
-
-
-def _compose_f(outer: tuple[int, ...], inner: tuple[int, ...]) -> tuple[int, ...]:
-    # mask-valued rows: x -> union of outer[t] over t in inner[x]
-    out = []
-    for mask in inner:
-        image = 0
+def _image(masks: list[int], row: tuple[int, ...]) -> tuple[int, ...]:
+    """The image table of a mask-valued ``row``: for each of ``masks``, in
+    order, the union of ``row[t]`` over the bits t of the mask."""
+    image = []
+    for mask in masks:
+        out = 0
         while mask:
             low = mask & -mask
-            image |= outer[low.bit_length() - 1]
+            out |= row[low.bit_length() - 1]
             mask ^= low
-        out.append(image)
-    return tuple(out)
+        image.append(out)
+    return tuple(image)
 
 
-def _compose_g(outer: tuple[int, ...], inner: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(outer[t] for t in inner)
-
-
-def _commute(rows: list, compose) -> bool:
+def _commute(images: list, getters: list) -> bool:
     """Whether the distinct translation rows commute pairwise, that is,
     whether every split of every (2k-1)-multiset agrees.
+
+    Row i acts on a value through ``images[i]`` (for g the row itself, for
+    f its image table), and ``getters[i]`` is ``itemgetter(*row)``, so
+    ``getters[j](images[i])`` is the composite of row i after row j.
 
     A split with outer O and inner J + {x} nests to (T[O] o T[J])(x), for T
     the translation rows, and (T[J] o T[O])(x) is the split with outer J
@@ -110,7 +141,16 @@ def _commute(rows: list, compose) -> bool:
     some pair does not commute, those two splits disagree.  Both steps use
     that the table is commutative, which holds by construction.
     """
-    return all(compose(r, s) == compose(s, r) for r, s in combinations(rows, 2))
+    return all(gs(r) == gr(s) for (r, gr), (s, gs) in combinations(zip(images, getters), 2))
+
+
+def _f_associative(tables: _Tables) -> bool:
+    return _commute([_image(tables.f_masks, r) for r in tables.f[1]], tables.f_getters)
+
+
+def _g_associative(tables: _Tables) -> bool:
+    rows = tables.g[1]
+    return _commute(rows, [itemgetter(*r) for r in rows])
 
 
 def _assoc(a: HyperStructure, k: int, nested):
@@ -132,7 +172,7 @@ def _assoc(a: HyperStructure, k: int, nested):
                 break
 
 
-def _neutral(a: HyperStructure):
+def _neutral(a: HyperStructure, _tables: _Tables):
     pad = (a.zero,) * (a.m - 1)
     values = [a.f_table[tuple(sorted((x,) + pad))] for x in range(a.size)]
     wrong = [x for x, value in enumerate(values) if value.mask != 1 << x]
@@ -147,7 +187,7 @@ def _neutral(a: HyperStructure):
             yield (e,), f"{a.names[e]} is a second scalar neutral besides zero"
 
 
-def _inverses(a: HyperStructure):
+def _inverses(a: HyperStructure, _tables: _Tables):
     for x in range(a.size):
         if x in a.inverse_map:
             continue  # exactly one candidate
@@ -156,7 +196,7 @@ def _inverses(a: HyperStructure):
         yield (x,), f"{a.names[x]} has {len(cands)} inverse candidates {shown}"
 
 
-def _reversibility(a: HyperStructure):
+def _reversibility(a: HyperStructure, _tables: _Tables):
     inv = a.inverse_map
     for ms in multisets(a.size, a.m):
         value = a.f_table[ms]
@@ -174,7 +214,7 @@ def _reversibility(a: HyperStructure):
                            f"{a.names[kept]} is not recoverable from position {i}")
 
 
-def _solvability(a: HyperStructure):
+def _solvability(a: HyperStructure, _tables: _Tables):
     full = (1 << a.size) - 1
     for ctx in multisets(a.size, a.m - 1):
         mask = 0
@@ -190,7 +230,7 @@ def _solvability(a: HyperStructure):
                    f"for any choice of the remaining argument")
 
 
-def _empty_values(a: HyperStructure):
+def _empty_values(a: HyperStructure, _tables: _Tables):
     for ms, value in sorted(a.f_table.items()):
         if not value:
             yield (ms,), f"f{a.render_elements(ms)} is empty"
@@ -209,13 +249,30 @@ def _undistributed(a: HyperStructure, scaled: tuple[int, ...]):
     return None
 
 
-def _distrib(a: HyperStructure):
-    # the verdict of a context depends only on its translation row of g
-    row_of, rows = _g_translations(a)
+def _distributes(tables: _Tables, row: tuple[int, ...]) -> bool:
+    """Whether g with the translation row ``row`` distributes over f.
+
+    For each (m-1)-multiset O, the image of f's row of O under ``row`` is
+    x -> row(f(O + {x})), and f's row of sorted row(O), composed with
+    ``row``, is x -> f(row(O + {x})).  The pairs (O, x) reach every
+    m-multiset, so the two agree for every O exactly when
+    ``_undistributed(a, row)`` is None.
+    """
+    f_row_of, f_rows = tables.f
+    image = _image(tables.f_masks, tuple(1 << y for y in row))
+    getters, after, at = tables.f_getters, itemgetter(*row), row.__getitem__
+    return all(getters[i](image) == after(f_rows[f_row_of[tuple(sorted(map(at, ctx)))]])
+               for ctx, i in f_row_of.items())
+
+
+def _distrib(a: HyperStructure, tables: _Tables):
+    # the verdict of a context depends only on its translation row of g;
+    # the per-multiset scan runs only on a failing row, to name its witness
+    row_of, rows = tables.g
     verdicts: dict[int, tuple | None] = {}
     for ctx, i in row_of.items():
         if i not in verdicts:
-            verdicts[i] = _undistributed(a, rows[i])
+            verdicts[i] = None if _distributes(tables, rows[i]) else _undistributed(a, rows[i])
         if verdicts[i] is not None:
             ms, lhs, rhs = verdicts[i]
             yield ((ctx, ms),
@@ -224,14 +281,15 @@ def _distrib(a: HyperStructure):
                    f"expected {ElementSet(rhs, a.size).render(a.names)}")
 
 
-def _zero_absorb(a: HyperStructure):
-    for ctx in multisets(a.size, a.n - 1):
-        got = a.g_table[insert_sorted(ctx, a.zero)]
+def _zero_absorb(a: HyperStructure, tables: _Tables):
+    row_of, rows = tables.g
+    for ctx, i in row_of.items():
+        got = rows[i][a.zero]
         if got != a.zero:
             yield (ctx,), f"g(zero, {a.render_elements(ctx)}) = {a.names[got]}, expected zero"
 
 
-def _one_identity(a: HyperStructure):
+def _one_identity(a: HyperStructure, _tables: _Tables):
     if a.one is None:
         return
     pad = (a.one,) * (a.n - 1)
@@ -247,14 +305,14 @@ HYPERGROUP_AXIOMS = {
     "F_VALUE_EMPTY": _empty_values,
     "NEUTRAL": _neutral,
     "INVERSE_UNIQUE": _inverses,
-    "ASSOC_F": lambda a: (() if _commute(_f_translations(a)[1], _compose_f)
-                          else _assoc(a, a.m, _nested_f)),
+    "ASSOC_F": lambda a, tables: (() if _f_associative(tables)
+                                  else _assoc(a, a.m, _nested_f)),
     "REVERSIBILITY": _reversibility,
     "QUASI_SOLVABLE": _solvability,
 }
 G_AXIOMS = {
-    "ASSOC_G": lambda a: (() if _commute(_g_translations(a)[1], _compose_g)
-                          else _assoc(a, a.n, _nested_g)),
+    "ASSOC_G": lambda a, tables: (() if _g_associative(tables)
+                                  else _assoc(a, a.n, _nested_g)),
     "DISTRIB": _distrib,
     "ZERO_ABSORB": _zero_absorb,
     "ONE_IDENTITY": _one_identity,
@@ -262,29 +320,43 @@ G_AXIOMS = {
 AXIOM_ORDER = (*HYPERGROUP_AXIOMS, *G_AXIOMS)
 
 
-def _scan(a: HyperStructure, axioms: dict, first: bool) -> list[AxiomViolation]:
+def _scan(a: HyperStructure, axioms: dict, first: bool, tables: _Tables) -> list[AxiomViolation]:
     found = (AxiomViolation(axiom, witness, detail)
              for axiom, scan in axioms.items()
-             for witness, detail in scan(a))
+             for witness, detail in scan(a, tables))
     return list(islice(found, 1 if first else None))
 
 
-def check_canonical_hypergroup(a: HyperStructure, first_violation: bool = False) -> list[AxiomViolation]:
-    """Check (A, f) against the canonical m-ary hypergroup axioms."""
-    return _scan(a, HYPERGROUP_AXIOMS, first_violation)
+def check_canonical_hypergroup(a: HyperStructure, first_violation: bool = False, *,
+                               tables: _Tables | None = None) -> list[AxiomViolation]:
+    """Check (A, f) against the canonical m-ary hypergroup axioms.
+
+    ``tables`` lets a caller share the translation tables with its own
+    further scans of ``a``; by default the check builds its own.
+    """
+    return _scan(a, HYPERGROUP_AXIOMS, first_violation,
+                 _Tables(a) if tables is None else tables)
 
 
 def check_krasner(a: HyperStructure, first_violation: bool = False) -> list[AxiomViolation]:
     """Full structure check: canonical hypergroup plus the g-side axioms."""
-    out = check_canonical_hypergroup(a, first_violation)
+    tables = _Tables(a)
+    out = check_canonical_hypergroup(a, first_violation, tables=tables)
     if first_violation and out:
         return out
-    return out + _scan(a, G_AXIOMS, first_violation)
+    return out + _scan(a, G_AXIOMS, first_violation, tables)
 
 
 def replay(a: HyperStructure, violation: AxiomViolation) -> bool:
-    """Recompute one violation from its witness; True means it still fails."""
-    ax, w = violation.axiom, violation.witness
+    """Recompute one violation from its witness; True means it still fails.
+
+    A witness whose parts do not have the shape its axiom reports (wrong
+    count, wrong arity, or an index outside the carrier) is False.
+    """
+    ax = violation.axiom
+    w = _parse_witness(a, ax, violation.witness)
+    if w is None:
+        return False
     if ax == "F_VALUE_EMPTY":
         return not a.f_table[w[0]]
     if ax == "NEUTRAL":
@@ -297,13 +369,11 @@ def replay(a: HyperStructure, violation: AxiomViolation) -> bool:
         return len(inverse_candidates(a, w[0])) != 1
     if ax in ("ASSOC_F", "ASSOC_G"):
         ms, left, right = w
-        k, nested = (a.m, _nested_f) if ax == "ASSOC_F" else (a.n, _nested_g)
-        outer_left = _rest(a, ms, left, k)
-        outer_right = _rest(a, ms, right, k)
+        nested = _nested_f if ax == "ASSOC_F" else _nested_g
+        outer_left, outer_right = _rest(ms, left), _rest(ms, right)
         if outer_left is None or outer_right is None:
-            return False  # not a split of a multiset over the carrier
-        return (nested(a, tuple(sorted(left)), outer_left)
-                != nested(a, tuple(sorted(right)), outer_right))
+            return False  # not a split of ms
+        return nested(a, left, outer_left) != nested(a, right, outer_right)
     if ax == "REVERSIBILITY":
         ms, x, i = w
         inv = a.inverse_map
@@ -325,12 +395,47 @@ def replay(a: HyperStructure, violation: AxiomViolation) -> bool:
     if ax == "ZERO_ABSORB":
         (ctx,) = w
         return a.g_table[insert_sorted(ctx, a.zero)] != a.zero
-    if ax == "ONE_IDENTITY":
-        (x,) = w
-        if a.one is None:
-            return False
-        return a.g_table[tuple(sorted((x,) + (a.one,) * (a.n - 1)))] != x
-    raise ValueError(f"unknown axiom tag {ax!r}")
+    (x,) = w  # ONE_IDENTITY
+    if a.one is None:
+        return False
+    return a.g_table[tuple(sorted((x,) + (a.one,) * (a.n - 1)))] != x
+
+
+def _parse_witness(a: HyperStructure, axiom: str, witness) -> tuple | None:
+    """``witness`` with its multisets sorted, when its parts have the shape
+    that ``axiom`` reports; None otherwise.
+
+    A shape gives per part the size of a multiset of carrier indices, or
+    "x" for one carrier index, or "i" for a position in an m-multiset.
+    """
+    m, n = a.m, a.n
+    shapes = {
+        "F_VALUE_EMPTY": (m,), "NEUTRAL": ("x",), "INVERSE_UNIQUE": ("x",),
+        "ASSOC_F": (2 * m - 1, m, m), "REVERSIBILITY": (m, "x", "i"),
+        "QUASI_SOLVABLE": (m - 1, "x"), "ASSOC_G": (2 * n - 1, n, n),
+        "DISTRIB": (n - 1, m), "ZERO_ABSORB": (n - 1,), "ONE_IDENTITY": ("x",),
+    }
+    if axiom not in shapes:
+        raise ValueError(f"unknown axiom tag {axiom!r}")
+    shape = shapes[axiom]
+    if not isinstance(witness, tuple) or len(witness) != len(shape):
+        return None
+    out = []
+    for part, kind in zip(witness, shape):
+        if kind in ("x", "i"):
+            if not _is_index(part, a.size if kind == "x" else m):
+                return None
+            out.append(part)
+        elif (isinstance(part, (tuple, list)) and len(part) == kind
+              and all(_is_index(x, a.size) for x in part)):
+            out.append(tuple(sorted(part)))
+        else:
+            return None
+    return tuple(out)
+
+
+def _is_index(value, bound: int) -> bool:
+    return isinstance(value, int) and 0 <= value < bound
 
 
 def _is_scalar_neutral(a: HyperStructure, e: int) -> bool:
@@ -338,18 +443,15 @@ def _is_scalar_neutral(a: HyperStructure, e: int) -> bool:
     return all(a.f_table[tuple(sorted((x,) + pad))].mask == 1 << x for x in range(a.size))
 
 
-def _rest(a: HyperStructure, ms: Sequence[int], part: Sequence[int],
-          k: int) -> tuple[int, ...] | None:
-    """Sorted ``ms`` minus ``part`` when ``part`` is a k-sub-multiset of the
-    (2k-1)-multiset ``ms`` over the carrier; None otherwise."""
-    if len(ms) != 2 * k - 1 or len(part) != k or any(x not in range(a.size) for x in ms):
-        return None
+def _rest(ms: tuple[int, ...], part: tuple[int, ...]) -> tuple[int, ...] | None:
+    """Sorted ``ms`` minus ``part`` when ``part`` is a sub-multiset of it;
+    None otherwise."""
     out = list(ms)
     for v in part:
         if v not in out:
             return None
         out.remove(v)
-    return tuple(sorted(out))
+    return tuple(out)
 
 
 def iterate_f(a: HyperStructure, level: int, args: Sequence[int]) -> ElementSet:

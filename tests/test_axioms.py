@@ -146,14 +146,13 @@ def _one_entry_mutants(a, seed, count=12):
 def test_composition_matches_all_splits_scan(base):
     # the all-splits scan is the oracle of the translation-row test
     a = ORACLE_BASES[base]()
-    sides = {
-        "ASSOC_F": (a.m, axioms._f_translations, axioms._compose_f, axioms._nested_f),
-        "ASSOC_G": (a.n, axioms._g_translations, axioms._compose_g, axioms._nested_g),
-    }
-    verdicts = {axiom: set() for axiom in sides}
+    verdicts = {"ASSOC_F": set(), "ASSOC_G": set()}
     for op, b in [("base", a), *_one_entry_mutants(a, seed=base)]:
-        for axiom, (k, translations, compose, nested) in sides.items():
-            fast = axioms._commute(translations(b)[1], compose)
+        tables = axioms._Tables(b)
+        for axiom, k, associative, nested in (
+                ("ASSOC_F", b.m, axioms._f_associative, axioms._nested_f),
+                ("ASSOC_G", b.n, axioms._g_associative, axioms._nested_g)):
+            fast = associative(tables)
             oracle = next(axioms._assoc(b, k, nested), None) is None
             assert fast == oracle, (base, op, axiom)
             verdicts[axiom].add(fast)
@@ -175,46 +174,77 @@ def test_composition_matches_all_splits_scan_on_every_small_table(op, k, size):
         table = dict(zip(keys, row))
         if op == "f":
             a = H.HyperStructure.from_tables(k, 2, names, table, dict.fromkeys(binary, 0), 0)
-            fast = axioms._commute(axioms._f_translations(a)[1], axioms._compose_f)
+            fast = axioms._f_associative(axioms._Tables(a))
             oracle = next(axioms._assoc(a, k, axioms._nested_f), None) is None
         else:
             a = H.HyperStructure.from_tables(2, k, names, binary, table, 0)
-            fast = axioms._commute(axioms._g_translations(a)[1], axioms._compose_g)
+            fast = axioms._g_associative(axioms._Tables(a))
             oracle = next(axioms._assoc(a, k, axioms._nested_g), None) is None
         assert fast == oracle, table
         verdicts.add(fast)
     assert verdicts == {True, False}
 
 
+@pytest.mark.parametrize("name", ["paper-2-4", "ring:Z4", "ring:Z5", "ring:Z2xZ3"])
+def test_row_images_match_per_multiset_scan_on_every_map(name):
+    # the per-multiset scan is the oracle of the DISTRIB row check, here on
+    # every map carrier -> carrier, not only on the rows g has
+    a = H.fixture(name).structure
+    tables = axioms._Tables(a)
+    verdicts = set()
+    for row in itertools.product(range(a.size), repeat=a.size):
+        fast = axioms._distributes(tables, row)
+        assert fast == (axioms._undistributed(a, row) is None), row
+        verdicts.add(fast)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("base", list(ORACLE_BASES))
+def test_row_images_match_per_multiset_scan_on_mutants(base):
+    a = ORACLE_BASES[base]()
+    verdicts = set()
+    for op, b in [("base", a), *_one_entry_mutants(a, seed=base)]:
+        tables = axioms._Tables(b)
+        for row in tables.g[1]:
+            fast = axioms._distributes(tables, row)
+            assert fast == (axioms._undistributed(b, row) is None), (base, op, row)
+            verdicts.add(fast)
+    assert verdicts == {True, False}
+
+
 @pytest.mark.parametrize("name", ["paper-2-4", "ring:Z12"])
 def test_valid_structure_runs_no_split_scan(monkeypatch, name):
+    # a valid structure is decided from the translation tables alone: no
+    # all-splits or per-multiset scan, and one table per operation per check
     a = H.fixture(name).structure
-    nested = []
+    called, tables = [], []
 
     def counted(real):
         def call(*args):
-            nested.append(real.__name__)
+            called.append(real.__name__)
             return real(*args)
         return call
 
-    monkeypatch.setattr(axioms, "_nested_f", counted(axioms._nested_f))
-    monkeypatch.setattr(axioms, "_nested_g", counted(axioms._nested_g))
+    for fn in ("_nested_f", "_nested_g", "_undistributed"):
+        monkeypatch.setattr(axioms, fn, counted(getattr(axioms, fn)))
+    real_translations = axioms._translations
+
+    def counted_translations(size, k, table):
+        tables.append("g" if table is a.g_table else "f")
+        return real_translations(size, k, table)
+
+    monkeypatch.setattr(axioms, "_translations", counted_translations)
     assert H.check_krasner(a) == []
-    assert nested == []
+    assert called == []
+    assert sorted(tables) == ["f", "g"]
 
-    # DISTRIB scans the m-multisets once per distinct translation row of g
-    scans = []
-    real_multisets = axioms.multisets
-
-    def counted_multisets(size, k):
-        scans.append(k)
-        return real_multisets(size, k)
-
-    monkeypatch.setattr(axioms, "multisets", counted_multisets)
-    assert list(axioms.G_AXIOMS["DISTRIB"](a)) == []
-    rows = {tuple(a.g_table[tuple(sorted(ctx + (x,)))] for x in range(a.size))
-            for ctx in itertools.combinations_with_replacement(range(a.size), a.n - 1)}
-    assert scans.count(a.m) == len(rows)
+    # a check that stops before ASSOC_F builds neither table
+    tables.clear()
+    x = (a.zero + 1) % a.size
+    broken = mutated(a, f_key=tuple(sorted((x,) + (a.zero,) * (a.m - 1))), f_value=(a.zero,))
+    (first,) = H.check_krasner(broken, first_violation=True)
+    assert first.axiom == "NEUTRAL"
+    assert tables == []
 
 
 @pytest.mark.parametrize("base, key, value", [("ring:Z6", (2, 3), 1),
@@ -273,9 +303,26 @@ class TestMutations:
         # a witness that is not a split of a multiset over the carrier
         for witness in (((0, 1, 2), (0, 1), (3, 4)),   # right is not inside ms
                         ((0, 1, 2), (0, 1, 2), (0,)),  # parts of the wrong size
-                        ((0, 1, 9), (0, 1), (1, 9))):  # 9 is outside the carrier
+                        ((0, 1, 9), (0, 1), (1, 9)),   # 9 is outside the carrier
+                        ((0, 1, 2), (0, 1))):          # a part missing
             for axiom in ("ASSOC_F", "ASSOC_G"):
                 assert H.replay(z6, H.AxiomViolation(axiom, witness, "")) is False
+        # one malformed witness per axiom: a wrong arity, a missing part, or
+        # an index outside the carrier of six elements
+        for axiom, witness in (("F_VALUE_EMPTY", ((0, 9),)),
+                               ("NEUTRAL", (70,)),
+                               ("INVERSE_UNIQUE", (99,)),
+                               ("REVERSIBILITY", ((0, 9), 1, 0)),
+                               ("REVERSIBILITY", ((0, 1), 1, 2)),
+                               ("QUASI_SOLVABLE", ((0, 0), 1)),
+                               ("DISTRIB", ((9,), (0, 1))),
+                               ("ZERO_ABSORB", ((7,),)),
+                               ("ONE_IDENTITY", (99,)),
+                               ("ONE_IDENTITY", 3)):
+            assert axiom in AXIOM_ORDER
+            assert H.replay(z6, H.AxiomViolation(axiom, witness, "")) is False
+        with pytest.raises(ValueError):
+            H.replay(z6, H.AxiomViolation("NOT_AN_AXIOM", (0,), ""))
 
 
 class TestIteratedOperations:
