@@ -15,8 +15,9 @@ distinct translation row r of g, also by row images: for every
 (m-1)-multiset O, the image of f's row of O under r must equal f's row of
 sorted r(O), composed with r.  The all-splits scan (for ASSOC) and the
 per-multiset scan ``_undistributed`` (for DISTRIB) run only when such a
-test fails, to name the witnesses.  The scans of one check share one
-holder of the f and g translation tables, each built on first read.
+test fails, to name the witnesses.  QUASI_SOLVABLE, REVERSIBILITY,
+ZERO_ABSORB and ONE_IDENTITY read the rows too: the structure's own
+(``HyperStructure.translations``), built at most once per structure.
 
 The axioms form one registry: ``HYPERGROUP_AXIOMS`` and ``G_AXIOMS`` map
 each axiom name, in check order, to a scan that yields ``(witness, detail)``
@@ -30,9 +31,9 @@ against the structure with :func:`replay`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import reduce
 from itertools import combinations, islice
-from operator import itemgetter
+from operator import itemgetter, or_
 from typing import Sequence
 
 from .core import (
@@ -68,49 +69,6 @@ def _nested_g(a: HyperStructure, inner: tuple[int, ...], outer: tuple[int, ...])
     return table[insert_sorted(outer, table[inner])]
 
 
-def _translations(size: int, k: int, table: dict) -> tuple[dict, list]:
-    """Translation rows of an operation table of arity k with int values.
-
-    The row of a (k-1)-multiset O is ``x -> table[O + {x}]`` over the
-    carrier; equal rows are interned to one id.  Returns ``({O: id}, rows)``
-    with ``rows[id]`` the row as a tuple, contexts in lexicographic order.
-    """
-    ids: dict[tuple[int, ...], int] = {}
-    return ({ctx: ids.setdefault(tuple(table[insert_sorted(ctx, x)] for x in range(size)),
-                                 len(ids))
-             for ctx in multisets(size, k - 1)}, list(ids))
-
-
-class _Tables:
-    """The f and g translation tables of one structure for one check, each
-    built on first read, so the scans of the check share one build."""
-
-    def __init__(self, a: HyperStructure) -> None:
-        self.a = a
-
-    @cached_property
-    def f(self) -> tuple[dict, list]:
-        a = self.a
-        return _translations(a.size, a.m, {ms: value.mask for ms, value in a.f_table.items()})
-
-    @cached_property
-    def g(self) -> tuple[dict, list]:
-        return _translations(self.a.size, self.a.n, self.a.g_table)
-
-    @cached_property
-    def f_masks(self) -> list[int]:
-        """The distinct masks that f takes, in the order of image tables."""
-        return list(set().union(*self.f[1]))
-
-    @cached_property
-    def f_getters(self) -> list:
-        """Per distinct f row, the itemgetter of its masks' positions in
-        ``f_masks``: applied to an image table, it composes that table's row
-        after this one."""
-        position = {mask: i for i, mask in enumerate(self.f_masks)}
-        return [itemgetter(*map(position.__getitem__, row)) for row in self.f[1]]
-
-
 def _image(masks: list[int], row: tuple[int, ...]) -> tuple[int, ...]:
     """The image table of a mask-valued ``row``: for each of ``masks``, in
     order, the union of ``row[t]`` over the bits t of the mask."""
@@ -144,12 +102,13 @@ def _commute(images: list, getters: list) -> bool:
     return all(gs(r) == gr(s) for (r, gr), (s, gs) in combinations(zip(images, getters), 2))
 
 
-def _f_associative(tables: _Tables) -> bool:
-    return _commute([_image(tables.f_masks, r) for r in tables.f[1]], tables.f_getters)
+def _f_associative(a: HyperStructure) -> bool:
+    t = a.translations
+    return _commute([_image(t.f_masks, r) for r in t.f[1]], t.f_getters)
 
 
-def _g_associative(tables: _Tables) -> bool:
-    rows = tables.g[1]
+def _g_associative(a: HyperStructure) -> bool:
+    rows = a.translations.g[1]
     return _commute(rows, [itemgetter(*r) for r in rows])
 
 
@@ -172,7 +131,7 @@ def _assoc(a: HyperStructure, k: int, nested):
                 break
 
 
-def _neutral(a: HyperStructure, _tables: _Tables):
+def _neutral(a: HyperStructure):
     pad = (a.zero,) * (a.m - 1)
     values = [a.f_table[tuple(sorted((x,) + pad))] for x in range(a.size)]
     wrong = [x for x, value in enumerate(values) if value.mask != 1 << x]
@@ -187,7 +146,7 @@ def _neutral(a: HyperStructure, _tables: _Tables):
             yield (e,), f"{a.names[e]} is a second scalar neutral besides zero"
 
 
-def _inverses(a: HyperStructure, _tables: _Tables):
+def _inverses(a: HyperStructure):
     for x in range(a.size):
         if x in a.inverse_map:
             continue  # exactly one candidate
@@ -196,41 +155,37 @@ def _inverses(a: HyperStructure, _tables: _Tables):
         yield (x,), f"{a.names[x]} has {len(cands)} inverse candidates {shown}"
 
 
-def _reversibility(a: HyperStructure, _tables: _Tables):
+def _reversibility(a: HyperStructure):
     inv = a.inverse_map
+    row_of, rows = a.translations.f
     for ms in multisets(a.size, a.m):
-        value = a.f_table[ms]
-        for x in value:
+        for x in a.f_table[ms]:
             for i, kept in enumerate(ms):
                 if i and ms[i - 1] == kept:
                     continue  # ms is sorted: only the first of each run
                 others = ms[:i] + ms[i + 1:]
                 if any(o not in inv for o in others):
                     continue  # reported under INVERSE_UNIQUE
-                args = tuple(sorted((x,) + tuple(inv[o] for o in others)))
-                if kept not in a.f_table[args]:
+                # f(x, inv(others)) is x's entry of the row of inv(others)
+                if not rows[row_of[tuple(sorted(inv[o] for o in others))]][x] >> kept & 1:
                     yield ((ms, x, i),
                            f"{a.names[x]} lies in f{a.render_elements(ms)} but "
                            f"{a.names[kept]} is not recoverable from position {i}")
 
 
-def _solvability(a: HyperStructure, _tables: _Tables):
+def _solvability(a: HyperStructure):
     full = (1 << a.size) - 1
-    for ctx in multisets(a.size, a.m - 1):
-        mask = 0
-        for x in range(a.size):
-            mask |= a.f_table[insert_sorted(ctx, x)].mask
-            if mask == full:
-                break
-        if mask != full:
-            b = (~mask & full)
-            b = (b & -b).bit_length() - 1
+    row_of, rows = a.translations.f
+    missing = [~reduce(or_, row) & full for row in rows]
+    for ctx, i in row_of.items():
+        if missing[i]:
+            b = (missing[i] & -missing[i]).bit_length() - 1
             yield ((ctx, b),
                    f"{a.names[b]} is not reachable from f{a.render_elements(ctx)} "
                    f"for any choice of the remaining argument")
 
 
-def _empty_values(a: HyperStructure, _tables: _Tables):
+def _empty_values(a: HyperStructure):
     for ms, value in sorted(a.f_table.items()):
         if not value:
             yield (ms,), f"f{a.render_elements(ms)} is empty"
@@ -249,7 +204,7 @@ def _undistributed(a: HyperStructure, scaled: tuple[int, ...]):
     return None
 
 
-def _distributes(tables: _Tables, row: tuple[int, ...]) -> bool:
+def _distributes(a: HyperStructure, row: tuple[int, ...]) -> bool:
     """Whether g with the translation row ``row`` distributes over f.
 
     For each (m-1)-multiset O, the image of f's row of O under ``row`` is
@@ -258,21 +213,22 @@ def _distributes(tables: _Tables, row: tuple[int, ...]) -> bool:
     m-multiset, so the two agree for every O exactly when
     ``_undistributed(a, row)`` is None.
     """
-    f_row_of, f_rows = tables.f
-    image = _image(tables.f_masks, tuple(1 << y for y in row))
-    getters, after, at = tables.f_getters, itemgetter(*row), row.__getitem__
+    t = a.translations
+    f_row_of, f_rows = t.f
+    image = _image(t.f_masks, tuple(1 << y for y in row))
+    getters, after, at = t.f_getters, itemgetter(*row), row.__getitem__
     return all(getters[i](image) == after(f_rows[f_row_of[tuple(sorted(map(at, ctx)))]])
                for ctx, i in f_row_of.items())
 
 
-def _distrib(a: HyperStructure, tables: _Tables):
+def _distrib(a: HyperStructure):
     # the verdict of a context depends only on its translation row of g;
     # the per-multiset scan runs only on a failing row, to name its witness
-    row_of, rows = tables.g
+    row_of, rows = a.translations.g
     verdicts: dict[int, tuple | None] = {}
     for ctx, i in row_of.items():
         if i not in verdicts:
-            verdicts[i] = None if _distributes(tables, rows[i]) else _undistributed(a, rows[i])
+            verdicts[i] = None if _distributes(a, rows[i]) else _undistributed(a, rows[i])
         if verdicts[i] is not None:
             ms, lhs, rhs = verdicts[i]
             yield ((ctx, ms),
@@ -281,20 +237,19 @@ def _distrib(a: HyperStructure, tables: _Tables):
                    f"expected {ElementSet(rhs, a.size).render(a.names)}")
 
 
-def _zero_absorb(a: HyperStructure, tables: _Tables):
-    row_of, rows = tables.g
+def _zero_absorb(a: HyperStructure):
+    row_of, rows = a.translations.g
     for ctx, i in row_of.items():
         got = rows[i][a.zero]
         if got != a.zero:
             yield (ctx,), f"g(zero, {a.render_elements(ctx)}) = {a.names[got]}, expected zero"
 
 
-def _one_identity(a: HyperStructure, _tables: _Tables):
+def _one_identity(a: HyperStructure):
     if a.one is None:
         return
-    pad = (a.one,) * (a.n - 1)
-    for x in range(a.size):
-        got = a.g_table[tuple(sorted((x,) + pad))]
+    row_of, rows = a.translations.g
+    for x, got in enumerate(rows[row_of[(a.one,) * (a.n - 1)]]):
         if got != x:
             yield (x,), f"g({a.names[x]}, one^{a.n - 1}) = {a.names[got]}, expected {a.names[x]}"
 
@@ -305,14 +260,12 @@ HYPERGROUP_AXIOMS = {
     "F_VALUE_EMPTY": _empty_values,
     "NEUTRAL": _neutral,
     "INVERSE_UNIQUE": _inverses,
-    "ASSOC_F": lambda a, tables: (() if _f_associative(tables)
-                                  else _assoc(a, a.m, _nested_f)),
+    "ASSOC_F": lambda a: () if _f_associative(a) else _assoc(a, a.m, _nested_f),
     "REVERSIBILITY": _reversibility,
     "QUASI_SOLVABLE": _solvability,
 }
 G_AXIOMS = {
-    "ASSOC_G": lambda a, tables: (() if _g_associative(tables)
-                                  else _assoc(a, a.n, _nested_g)),
+    "ASSOC_G": lambda a: () if _g_associative(a) else _assoc(a, a.n, _nested_g),
     "DISTRIB": _distrib,
     "ZERO_ABSORB": _zero_absorb,
     "ONE_IDENTITY": _one_identity,
@@ -320,31 +273,25 @@ G_AXIOMS = {
 AXIOM_ORDER = (*HYPERGROUP_AXIOMS, *G_AXIOMS)
 
 
-def _scan(a: HyperStructure, axioms: dict, first: bool, tables: _Tables) -> list[AxiomViolation]:
+def _scan(a: HyperStructure, axioms: dict, first: bool) -> list[AxiomViolation]:
     found = (AxiomViolation(axiom, witness, detail)
              for axiom, scan in axioms.items()
-             for witness, detail in scan(a, tables))
+             for witness, detail in scan(a))
     return list(islice(found, 1 if first else None))
 
 
-def check_canonical_hypergroup(a: HyperStructure, first_violation: bool = False, *,
-                               tables: _Tables | None = None) -> list[AxiomViolation]:
-    """Check (A, f) against the canonical m-ary hypergroup axioms.
-
-    ``tables`` lets a caller share the translation tables with its own
-    further scans of ``a``; by default the check builds its own.
-    """
-    return _scan(a, HYPERGROUP_AXIOMS, first_violation,
-                 _Tables(a) if tables is None else tables)
+def check_canonical_hypergroup(a: HyperStructure,
+                               first_violation: bool = False) -> list[AxiomViolation]:
+    """Check (A, f) against the canonical m-ary hypergroup axioms."""
+    return _scan(a, HYPERGROUP_AXIOMS, first_violation)
 
 
 def check_krasner(a: HyperStructure, first_violation: bool = False) -> list[AxiomViolation]:
     """Full structure check: canonical hypergroup plus the g-side axioms."""
-    tables = _Tables(a)
-    out = check_canonical_hypergroup(a, first_violation, tables=tables)
+    out = check_canonical_hypergroup(a, first_violation)
     if first_violation and out:
         return out
-    return out + _scan(a, G_AXIOMS, first_violation, tables)
+    return out + _scan(a, G_AXIOMS, first_violation)
 
 
 def replay(a: HyperStructure, violation: AxiomViolation) -> bool:

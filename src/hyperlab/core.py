@@ -6,6 +6,10 @@ Both tables are keyed by sorted index multisets, so commutativity holds by
 construction; supplying two permutations of one multiset with different
 values is rejected at build time.
 
+Each structure owns the translation rows x -> op(O + {x}) of its two
+operations (``Translations``), built at most once, on first read, and read
+by every axiom scan and ideal question on it.
+
 Carriers are capped at 64 elements and subsets are stored as bitmasks.
 """
 
@@ -14,6 +18,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -172,7 +178,7 @@ def multiset_splits(ms: Sequence[int], k: int) -> list[tuple[tuple[int, ...], tu
 
 def _normalize_table(entries: Mapping[Sequence[int], object], arity: int, size: int,
                      what: str) -> dict[tuple[int, ...], object]:
-    seen: dict[tuple[int, ...], tuple[tuple[int, ...], object]] = {}
+    table: dict[tuple[int, ...], object] = {}
     for raw_key, value in entries.items():
         key = tuple(raw_key)
         if len(key) != arity:
@@ -181,16 +187,13 @@ def _normalize_table(entries: Mapping[Sequence[int], object], arity: int, size: 
             if not 0 <= i < size:
                 raise TableError(f"{what} key {key} mentions index {i} outside the carrier")
         canon = tuple(sorted(key))
-        if canon in seen:
-            prev_key, prev_value = seen[canon]
-            if prev_value != value:
-                raise TableError(
-                    f"{what} entries {prev_key} and {key} are permutations of one "
-                    f"multiset but disagree: {prev_value!r} vs {value!r}"
-                )
-        else:
-            seen[canon] = (key, value)
-    table = {canon: value for canon, (_, value) in seen.items()}
+        prev_value = table.setdefault(canon, value)
+        if prev_value != value:
+            prev_key = next(tuple(k) for k in entries if tuple(sorted(k)) == canon)
+            raise TableError(
+                f"{what} entries {prev_key} and {key} are permutations of one "
+                f"multiset but disagree: {prev_value!r} vs {value!r}"
+            )
     expected = math.comb(size + arity - 1, arity)
     if len(table) != expected:
         # name a missing multiset only when the input holds a key of this
@@ -208,6 +211,52 @@ def inverse_candidates(a: "HyperStructure", x: int) -> tuple[int, ...]:
     pad = (a.zero,) * (a.m - 2)
     return tuple(y for y in range(a.size)
                  if a.zero in a.f_table[tuple(sorted((x, y) + pad))])
+
+
+def _translations(size: int, k: int, table: dict) -> tuple[dict, list]:
+    """Translation rows of an operation table of arity k with int values.
+
+    The row of a (k-1)-multiset O is ``x -> table[O + {x}]`` over the
+    carrier; equal rows are interned to one id.  Returns ``({O: id}, rows)``
+    with ``rows[id]`` the row as a tuple, contexts in lexicographic order.
+    """
+    ids: dict[tuple[int, ...], int] = {}
+    return ({ctx: ids.setdefault(tuple(table[insert_sorted(ctx, x)] for x in range(size)),
+                                 len(ids))
+             for ctx in multisets(size, k - 1)}, list(ids))
+
+
+class Translations:
+    """The f and g translation rows of one structure, each built on first
+    read.  Holds the tables, not the structure, so it makes no cycle."""
+
+    def __init__(self, a: HyperStructure) -> None:
+        self.size, self.m, self.n = a.size, a.m, a.n
+        self.f_table, self.g_table = a.f_table, a.g_table
+
+    @cached_property
+    def f(self) -> tuple[dict, list]:
+        """``({O: id}, rows)`` of f, each row a tuple of value masks."""
+        return _translations(self.size, self.m,
+                             {ms: value.mask for ms, value in self.f_table.items()})
+
+    @cached_property
+    def g(self) -> tuple[dict, list]:
+        """``({O: id}, rows)`` of g, each row a tuple of carrier indices."""
+        return _translations(self.size, self.n, self.g_table)
+
+    @cached_property
+    def f_masks(self) -> list[int]:
+        """The distinct masks that f takes, in the order of image tables."""
+        return list(set().union(*self.f[1]))
+
+    @cached_property
+    def f_getters(self) -> list:
+        """Per distinct f row, the itemgetter of its masks' positions in
+        ``f_masks``: applied to an image table, it composes that table's row
+        after this one."""
+        position = {mask: i for i, mask in enumerate(self.f_masks)}
+        return [itemgetter(*map(position.__getitem__, row)) for row in self.f[1]]
 
 
 @dataclass(frozen=True, eq=True)
@@ -230,6 +279,7 @@ class HyperStructure:
     # the structure: a cached_property writes through the instance __dict__,
     # which on CPython 3.11 makes every later attribute read on it ~3x slower.
     inverse_map: dict[int, int] = field(init=False, compare=False, repr=False)
+    translations: Translations = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         inverses = {}
@@ -238,6 +288,7 @@ class HyperStructure:
             if len(cands) == 1:
                 inverses[x] = cands[0]
         object.__setattr__(self, "inverse_map", inverses)
+        object.__setattr__(self, "translations", Translations(self))
 
     @classmethod
     def from_tables(
@@ -264,22 +315,20 @@ class HyperStructure:
         if one is not None and not 0 <= one < size:
             raise TableError(f"one index {one} outside the carrier")
 
-        raw_f = _normalize_table(f_entries, m, size, "f")
-        f_table: dict[tuple[int, ...], ElementSet] = {}
-        for key, value in raw_f.items():
+        # checked and converted in place, so each table is held once
+        f_table = _normalize_table(f_entries, m, size, "f")
+        for key, value in f_table.items():
             es = ElementSet.from_indices(value, size)  # type: ignore[arg-type]
             if not es:
                 raise TableError(f"f value for {key} is empty")
             f_table[key] = es
 
-        raw_g = _normalize_table(g_entries, n, size, "g")
-        g_table: dict[tuple[int, ...], int] = {}
-        for key, value in raw_g.items():
+        g_table = _normalize_table(g_entries, n, size, "g")
+        for key, value in g_table.items():
             if not isinstance(value, int) or not 0 <= value < size:
                 raise TableError(f"g value for {key} is not a carrier index: {value!r}")
-            g_table[key] = value
 
-        return cls(m, n, names, f_table, g_table, zero, one, label)
+        return cls(m, n, names, f_table, g_table, zero, one, label)  # type: ignore[arg-type]
 
     @property
     def size(self) -> int:

@@ -11,20 +11,23 @@ closure cl({0, x}), and keeping the closed sets that pass
 :func:`is_hyperideal`.  Each ideal carries a primality flag so the radical
 can be computed by intersection.
 
-:func:`scale_row` is the one lookup of g(c, x, 1^(n-2)), read by colons,
-scaled sets and principal hyperideals; :func:`support_rows` gives each
-g-table entry valued in a mask with the mask of its entries.  Q is prime
-when :func:`first_unfactored` finds no multiset outside Q valued in Q; the
-lattice flags, ``is_prime`` and the integral-domain test all ask it.
+Absorption, reachability and :func:`scale_row` (the one lookup of
+g(c, x, 1^(n-2)), read by colons, scaled sets and principal hyperideals)
+read the structure's translation rows (``HyperStructure.translations``).
+:func:`support_rows` gives each g-table entry valued in a mask with the
+mask of its entries.  Q is prime when :func:`first_unfactored` finds no
+multiset outside Q valued in Q; the lattice flags, ``is_prime`` and the
+integral-domain test all ask it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations_with_replacement
+from operator import or_
 
-from .core import ElementSet, HyperStructure, graded_key, insert_sorted, multisets, sorted_key
+from .core import ElementSet, HyperStructure, graded_key, multisets, sorted_key
 from .errors import CapacityError, IdentityRequired
 from .verdict import Verdict
 
@@ -36,9 +39,8 @@ def is_hyperideal(a: HyperStructure, q: ElementSet) -> Verdict:
     if a.zero not in q:
         return Verdict(False, note="does not contain zero")
     members = q.indices()
-    for ms in multisets(len(members), a.m):
-        args = tuple(members[i] for i in ms)
-        value = a.f_table[sorted_key(args)]
+    for args in combinations_with_replacement(members, a.m):
+        value = a.f_table[args]
         if not value.issubset(q):
             bad = next(x for x in value if x not in q)
             return Verdict(False, counterexample=args,
@@ -51,22 +53,21 @@ def is_hyperideal(a: HyperStructure, q: ElementSet) -> Verdict:
         if inv[x] not in q:
             return Verdict(False, counterexample=(x,),
                            note=f"inverse {a.names[inv[x]]} of {a.names[x]} missing")
-    for ms in multisets(len(members), a.m - 1):
-        ctx = tuple(members[i] for i in ms)
-        mask = 0
-        for x in members:
-            mask |= a.f_table[insert_sorted(ctx, x)].mask
-        if q.mask & ~mask:
-            missing = (q.mask & ~mask)
+    row_of, rows = a.translations.f
+    for ctx in combinations_with_replacement(members, a.m - 1):
+        missing = q.mask & ~reduce(or_, map(rows[row_of[ctx]].__getitem__, members))
+        if missing:
             missing = (missing & -missing).bit_length() - 1
             return Verdict(False, counterexample=ctx,
                            note=f"{a.names[missing]} unreachable inside the subset")
-    for ctx in multisets(a.size, a.n - 1):
-        for x in members:
-            got = a.g_table[insert_sorted(ctx, x)]
-            if got not in q:
-                return Verdict(False, counterexample=ctx + (x,),
-                               note=f"absorption fails: product {a.names[got]} escapes")
+    # a g row maps Q into Q or not, whichever context it is the row of
+    row_of, rows = a.translations.g
+    escaping = {i for i, row in enumerate(rows) if any(not q.mask >> row[x] & 1 for x in members)}
+    if escaping:
+        ctx, i = next((ctx, i) for ctx, i in row_of.items() if i in escaping)
+        x = next(x for x in members if not q.mask >> rows[i][x] & 1)
+        return Verdict(False, counterexample=ctx + (x,),
+                       note=f"absorption fails: product {a.names[rows[i][x]]} escapes")
     return Verdict(True)
 
 
@@ -124,12 +125,12 @@ def _forced_masks(a: HyperStructure) -> list[int]:
     """Per element x, the mask every closed set holding x must hold as well.
 
     That is zero, the unique inverse of x where one exists, and g(ctx, x)
-    for every ctx in A^(n-1).
+    for every ctx in A^(n-1): entry x of every distinct translation row of g.
     """
     inv = a.inverse_map
     forced = [1 << a.zero | (1 << inv[x] if x in inv else 0) for x in range(a.size)]
-    for key, value in a.g_table.items():
-        for x in set(key):
+    for row in a.translations.g[1]:
+        for x, value in enumerate(row):
             forced[x] |= 1 << value
     return forced
 
@@ -246,12 +247,13 @@ def first_unfactored(a: HyperStructure, mask: int) -> tuple[int, ...] | None:
 
 
 def scale_row(a: HyperStructure, c: int, what: str) -> tuple[int, ...]:
-    """g(c, x, one^(n-2)) for each x, in index order; ``what`` names the caller
-    in the IdentityRequired raised when n > 2 and there is no identity."""
+    """g(c, x, one^(n-2)) for each x, in index order: the translation row of
+    (c, one^(n-2)); ``what`` names the caller in the IdentityRequired raised
+    when n > 2 and there is no identity."""
     if a.n > 2 and a.one is None:
         raise IdentityRequired(f"{what} needs a scalar identity when n > 2")
-    g_table, pad = a.g_table, (a.one,) * (a.n - 2)
-    return tuple(g_table[sorted_key((c, x) + pad)] for x in range(a.size))
+    row_of, rows = a.translations.g
+    return rows[row_of[sorted_key((c,) + (a.one,) * (a.n - 2))]]
 
 
 def colon_mask(a: HyperStructure, q: ElementSet, c: int, what: str) -> int:

@@ -7,8 +7,9 @@ import time
 import pytest
 
 import hyperlab as H
-from hyperlab import axioms
+from hyperlab import axioms, core
 from hyperlab.axioms import AXIOM_ORDER
+from hyperlab.core import insert_sorted
 
 from conftest import VALIDATE_IDS, mutated, validate_inputs
 
@@ -148,11 +149,10 @@ def test_composition_matches_all_splits_scan(base):
     a = ORACLE_BASES[base]()
     verdicts = {"ASSOC_F": set(), "ASSOC_G": set()}
     for op, b in [("base", a), *_one_entry_mutants(a, seed=base)]:
-        tables = axioms._Tables(b)
         for axiom, k, associative, nested in (
                 ("ASSOC_F", b.m, axioms._f_associative, axioms._nested_f),
                 ("ASSOC_G", b.n, axioms._g_associative, axioms._nested_g)):
-            fast = associative(tables)
+            fast = associative(b)
             oracle = next(axioms._assoc(b, k, nested), None) is None
             assert fast == oracle, (base, op, axiom)
             verdicts[axiom].add(fast)
@@ -174,11 +174,11 @@ def test_composition_matches_all_splits_scan_on_every_small_table(op, k, size):
         table = dict(zip(keys, row))
         if op == "f":
             a = H.HyperStructure.from_tables(k, 2, names, table, dict.fromkeys(binary, 0), 0)
-            fast = axioms._f_associative(axioms._Tables(a))
+            fast = axioms._f_associative(a)
             oracle = next(axioms._assoc(a, k, axioms._nested_f), None) is None
         else:
             a = H.HyperStructure.from_tables(2, k, names, binary, table, 0)
-            fast = axioms._g_associative(axioms._Tables(a))
+            fast = axioms._g_associative(a)
             oracle = next(axioms._assoc(a, k, axioms._nested_g), None) is None
         assert fast == oracle, table
         verdicts.add(fast)
@@ -190,10 +190,9 @@ def test_row_images_match_per_multiset_scan_on_every_map(name):
     # the per-multiset scan is the oracle of the DISTRIB row check, here on
     # every map carrier -> carrier, not only on the rows g has
     a = H.fixture(name).structure
-    tables = axioms._Tables(a)
     verdicts = set()
     for row in itertools.product(range(a.size), repeat=a.size):
-        fast = axioms._distributes(tables, row)
+        fast = axioms._distributes(a, row)
         assert fast == (axioms._undistributed(a, row) is None), row
         verdicts.add(fast)
     assert verdicts == {True, False}
@@ -204,20 +203,82 @@ def test_row_images_match_per_multiset_scan_on_mutants(base):
     a = ORACLE_BASES[base]()
     verdicts = set()
     for op, b in [("base", a), *_one_entry_mutants(a, seed=base)]:
-        tables = axioms._Tables(b)
-        for row in tables.g[1]:
-            fast = axioms._distributes(tables, row)
+        for row in b.translations.g[1]:
+            fast = axioms._distributes(b, row)
             assert fast == (axioms._undistributed(b, row) is None), (base, op, row)
             verdicts.add(fast)
     assert verdicts == {True, False}
 
 
+def direct_reversibility(a):
+    """The REVERSIBILITY scan by f-table lookups, one per (ms, x, position)."""
+    inv = a.inverse_map
+    for ms in itertools.combinations_with_replacement(range(a.size), a.m):
+        for x in a.f_table[ms]:
+            for i, kept in enumerate(ms):
+                others = ms[:i] + ms[i + 1:]
+                if (i and ms[i - 1] == kept) or any(o not in inv for o in others):
+                    continue
+                if kept not in a.f_table[tuple(sorted((x,) + tuple(inv[o] for o in others)))]:
+                    yield ((ms, x, i),
+                           f"{a.names[x]} lies in f{a.render_elements(ms)} but "
+                           f"{a.names[kept]} is not recoverable from position {i}")
+
+
+def direct_solvability(a):
+    """The QUASI_SOLVABLE scan by f-table lookups, one per (ctx, x)."""
+    for ctx in itertools.combinations_with_replacement(range(a.size), a.m - 1):
+        reached = set().union(*(a.f_table[insert_sorted(ctx, x)] for x in range(a.size)))
+        if len(reached) < a.size:
+            b = min(set(range(a.size)) - reached)
+            yield ((ctx, b),
+                   f"{a.names[b]} is not reachable from f{a.render_elements(ctx)} "
+                   f"for any choice of the remaining argument")
+
+
+def direct_one_identity(a):
+    """The ONE_IDENTITY scan by g-table lookups, one per element."""
+    for x in range(a.size if a.one is not None else 0):
+        got = a.g_table[tuple(sorted((x,) + (a.one,) * (a.n - 1)))]
+        if got != x:
+            yield (x,), f"g({a.names[x]}, one^{a.n - 1}) = {a.names[got]}, expected {a.names[x]}"
+
+
+@pytest.mark.parametrize("base", list(ORACLE_BASES))
+def test_row_scans_match_direct_lookups_on_mutants(base):
+    a = ORACLE_BASES[base]()
+    failed = set()
+    for op, b in [("base", a), *_one_entry_mutants(a, seed=base)]:
+        for scan, oracle in ((axioms._reversibility, direct_reversibility),
+                             (axioms._solvability, direct_solvability),
+                             (axioms._one_identity, direct_one_identity)):
+            found = list(scan(b))
+            assert found == list(oracle(b)), (base, op, scan.__name__)
+            if found:
+                failed.add(scan.__name__)
+    assert failed >= {"_reversibility", "_solvability"}
+
+
+def test_empty_f_value_is_reported():
+    # from_tables refuses an empty f value, so build the dataclass directly
+    z4 = H.fixture("ring:Z4").structure
+    f_table = dict(z4.f_table)
+    f_table[(1, 2)] = H.ElementSet.empty(z4.size)
+    a = H.HyperStructure(z4.m, z4.n, z4.names, f_table, z4.g_table, z4.zero, z4.one)
+    (first,) = H.check_krasner(a, first_violation=True)
+    assert (first.axiom, first.witness) == ("F_VALUE_EMPTY", ((1, 2),))
+    violations = H.check_krasner(a)
+    assert violations[0] == first
+    assert all(H.replay(a, v) for v in violations)
+
+
 @pytest.mark.parametrize("name", ["paper-2-4", "ring:Z12"])
 def test_valid_structure_runs_no_split_scan(monkeypatch, name):
-    # a valid structure is decided from the translation tables alone: no
-    # all-splits or per-multiset scan, and one table per operation per check
+    # a valid structure is decided from its translation rows alone: no
+    # all-splits or per-multiset scan, and each operation's rows are built
+    # once per structure, shared by the check and the ideal questions
     a = H.fixture(name).structure
-    called, tables = [], []
+    called, builds = [], []
 
     def counted(real):
         def call(*args):
@@ -227,24 +288,30 @@ def test_valid_structure_runs_no_split_scan(monkeypatch, name):
 
     for fn in ("_nested_f", "_nested_g", "_undistributed"):
         monkeypatch.setattr(axioms, fn, counted(getattr(axioms, fn)))
-    real_translations = axioms._translations
+    real_translations = core._translations
 
     def counted_translations(size, k, table):
-        tables.append("g" if table is a.g_table else "f")
+        builds.append("g" if table is a.g_table else "f")
         return real_translations(size, k, table)
 
-    monkeypatch.setattr(axioms, "_translations", counted_translations)
+    monkeypatch.setattr(core, "_translations", counted_translations)
     assert H.check_krasner(a) == []
+    lattice = H.enumerate_hyperideals(a)
+    if a.n > 2 and a.one is None:
+        with pytest.raises(H.IdentityRequired):
+            H.colon(a, lattice[0], 1)
+    else:
+        H.colon(a, lattice[0], 1)
     assert called == []
-    assert sorted(tables) == ["f", "g"]
+    assert sorted(builds) == ["f", "g"]
 
-    # a check that stops before ASSOC_F builds neither table
-    tables.clear()
+    # a check that stops before ASSOC_F builds neither
+    builds.clear()
     x = (a.zero + 1) % a.size
     broken = mutated(a, f_key=tuple(sorted((x,) + (a.zero,) * (a.m - 1))), f_value=(a.zero,))
     (first,) = H.check_krasner(broken, first_violation=True)
     assert first.axiom == "NEUTRAL"
-    assert tables == []
+    assert builds == []
 
 
 @pytest.mark.parametrize("base, key, value", [("ring:Z6", (2, 3), 1),

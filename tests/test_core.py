@@ -141,6 +141,22 @@ class TestTableConstruction:
                 {(0, 0): 0, (0, 1): 0, (1, 1): 1},
                 zero=0)
 
+    @pytest.mark.parametrize("n, f, g, message", [
+        (2, {(0, 0): (0,), (0, 1): (1,), (1, 0): (0,), (1, 1): (0,)},
+         {(0, 0): 0, (0, 1): 0, (1, 1): 1},
+         "f entries (0, 1) and (1, 0) are permutations of one multiset "
+         "but disagree: (1,) vs (0,)"),
+        # an agreeing spelling comes between: the message names the first
+        (3, {(0, 0): (0,), (0, 1): (1,), (1, 1): (0,)},
+         {(0, 0, 0): 0, (0, 0, 1): 0, (0, 1, 1): 1, (1, 0, 1): 1, (1, 1, 0): 0, (1, 1, 1): 1},
+         "g entries (0, 1, 1) and (1, 1, 0) are permutations of one multiset "
+         "but disagree: 1 vs 0"),
+    ], ids=["f", "g"])
+    def test_permutation_conflict_message(self, n, f, g, message):
+        with pytest.raises(H.TableError) as caught:
+            H.HyperStructure.from_tables(2, n, ("0", "1"), f, g, zero=0)
+        assert str(caught.value) == message
+
     def test_totality_enforced(self):
         with pytest.raises(H.TableError, match="not total"):
             H.HyperStructure.from_tables(

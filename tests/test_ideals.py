@@ -9,6 +9,7 @@ import pytest
 
 import hyperlab as H
 import hyperlab.ideals as ideals_module
+from hyperlab.core import insert_sorted, sorted_key
 from conftest import SMALL_FIXTURES
 
 
@@ -150,6 +151,82 @@ def test_closure_route_matches_subset_scan_on_mutants(name):
     rng = random.Random(name)
     for _ in range(30):
         assert_matches_scan(random_mutant(base, rng))
+
+
+def direct_is_hyperideal(a, q):
+    """``is_hyperideal`` by direct table lookups, each absorption product
+    read as ``g_table[insert_sorted(ctx, x)]``: the oracle of the row route."""
+    if a.zero not in q:
+        return H.Verdict(False, note="does not contain zero")
+    members = q.indices()
+    for ms in itertools.combinations_with_replacement(members, a.m):
+        value = a.f_table[ms]
+        if not value.issubset(q):
+            bad = next(x for x in value if x not in q)
+            return H.Verdict(False, counterexample=ms,
+                             note=f"not closed under f: {a.names[bad]} escapes")
+    for x in members:
+        if x not in a.inverse_map:
+            return H.Verdict(False, counterexample=(x,),
+                             note=f"{a.names[x]} has no unique inverse")
+        if a.inverse_map[x] not in q:
+            return H.Verdict(False, counterexample=(x,),
+                             note=f"inverse {a.names[a.inverse_map[x]]} of {a.names[x]} missing")
+    for ctx in itertools.combinations_with_replacement(members, a.m - 1):
+        reached = a.subset(y for x in members for y in a.f_table[insert_sorted(ctx, x)])
+        if not q <= reached:
+            missing = min(set(q) - set(reached))
+            return H.Verdict(False, counterexample=ctx,
+                             note=f"{a.names[missing]} unreachable inside the subset")
+    for ctx in itertools.combinations_with_replacement(range(a.size), a.n - 1):
+        for x in members:
+            got = a.g_table[insert_sorted(ctx, x)]
+            if got not in q:
+                return H.Verdict(False, counterexample=ctx + (x,),
+                                 note=f"absorption fails: product {a.names[got]} escapes")
+    return H.Verdict(True)
+
+
+def direct_forced_masks(a):
+    """``_forced_masks`` by walking the g table: entry by entry, each value is
+    forced by every element of its key."""
+    inv = a.inverse_map
+    forced = [1 << a.zero | (1 << inv[x] if x in inv else 0) for x in range(a.size)]
+    for key, value in a.g_table.items():
+        for x in set(key):
+            forced[x] |= 1 << value
+    return forced
+
+
+@pytest.mark.parametrize("name", ["paper-2-4", "paper-3-3", "ring:Z6"])
+def test_row_route_matches_direct_lookups_on_mutants(name):
+    base = H.fixture(name).structure
+    rng = random.Random(name)
+    notes = set()
+    for a in [base] + [random_mutant(base, rng) for _ in range(40)]:
+        assert ideals_module._forced_masks(a) == direct_forced_masks(a), a.label
+        for mask in range(1 << a.size):
+            if mask >> a.zero & 1:
+                q = H.ElementSet(mask, a.size)
+                got, expected = H.is_hyperideal(a, q), direct_is_hyperideal(a, q)
+                assert ((got.holds, got.counterexample, got.note)
+                        == (expected.holds, expected.counterexample, expected.note)), (a, q)
+                notes.add((got.note or "").split(":")[0])
+    # both outcomes of the absorption test occur
+    assert {"", "absorption fails"} <= notes
+
+
+@pytest.mark.parametrize("name", ["paper-3-3", "ring:Z12", "paper-2-4"])
+def test_scale_row_matches_direct_lookups(name):
+    a = H.fixture(name).structure
+    for c in range(a.size):
+        if a.n > 2 and a.one is None:
+            with pytest.raises(H.IdentityRequired):
+                ideals_module.scale_row(a, c, "test")
+            continue
+        pad = (a.one,) * (a.n - 2)
+        assert ideals_module.scale_row(a, c, "test") == tuple(
+            a.g_table[sorted_key((c, x) + pad)] for x in range(a.size))
 
 
 def divisor_lattice(j, k=1):
