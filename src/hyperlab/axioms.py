@@ -8,16 +8,16 @@ reported as sorted tuples.
 ASSOC_F and ASSOC_G are decided by composing translation rows (Post,
 *Polyadic groups*, 1940): the row of a (k-1)-multiset O is x -> op(O + {x}),
 equal rows are interned to one id, and a commutative operation is
-associative exactly when its distinct rows commute pairwise.  An f row is
-composed through its image table, which sends each f-value mask to the
-union of the row over the bits of the mask.  DISTRIB is decided once per
-distinct translation row r of g, also by row images: for every
+associative exactly when its distinct rows commute pairwise; the pairs that
+do not commute name the failing multisets, and only those are split.  An f
+row is composed through its image table, which sends each f-value mask to
+the union of the row over the bits of the mask.  DISTRIB is decided once
+per distinct translation row r of g, also by row images: for every
 (m-1)-multiset O, the image of f's row of O under r must equal f's row of
-sorted r(O), composed with r.  The all-splits scan (for ASSOC) and the
-per-multiset scan ``_undistributed`` (for DISTRIB) run only when such a
-test fails, to name the witnesses.  QUASI_SOLVABLE, REVERSIBILITY,
-ZERO_ABSORB and ONE_IDENTITY read the rows too: the structure's own
-(``HyperStructure.translations``), built at most once per structure.
+sorted r(O), composed with r; the least O + {x} where they differ is the
+witness.  QUASI_SOLVABLE, REVERSIBILITY, ZERO_ABSORB and ONE_IDENTITY read
+the rows too: the structure's own (``HyperStructure.translations``), built
+at most once per structure.
 
 The axioms form one registry: ``HYPERGROUP_AXIOMS`` and ``G_AXIOMS`` map
 each axiom name, in check order, to a scan that yields ``(witness, detail)``
@@ -83,9 +83,9 @@ def _image(masks: list[int], row: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(image)
 
 
-def _commute(images: list, getters: list) -> bool:
-    """Whether the distinct translation rows commute pairwise, that is,
-    whether every split of every (2k-1)-multiset agrees.
+def _assoc(a: HyperStructure, k: int, nested, row_of: dict, images: list, getters: list):
+    """The ASSOC witnesses of an operation of arity k, in multiset order,
+    from the pairs of its distinct translation rows that do not commute.
 
     Row i acts on a value through ``images[i]`` (for g the row itself, for
     f its image table), and ``getters[i]`` is ``itemgetter(*row)``, so
@@ -95,40 +95,54 @@ def _commute(images: list, getters: list) -> bool:
     the translation rows, and (T[J] o T[O])(x) is the split with outer J
     and inner O + {x}.  So if the rows commute, the split (O, S) agrees with
     (S - {x}, O + {x}) for each x in S; two such steps swap one entry of the
-    outer with one of the inner, and those swaps reach every split.  If
-    some pair does not commute, those two splits disagree.  Both steps use
-    that the table is commutative, which holds by construction.
+    outer with one of the inner, and those steps reach every split.  Hence a
+    (2k-1)-multiset fails exactly when it is O + J + {x} for contexts O and
+    J of rows i != j with T_i(T_j(x)) != T_j(T_i(x)).  Both steps use that
+    the table is commutative, which holds by construction.
+
+    Merging with a fixed multiset keeps lexicographic order, so the least
+    failing multiset merges the first contexts of i and j with x for some
+    failing (i, j, x); the rest are listed only when a second witness is
+    asked for.
     """
-    return all(gs(r) == gr(s) for (r, gr), (s, gs) in combinations(zip(images, getters), 2))
+    pairs = ((i, j, gs(r), gr(s))
+             for (i, (r, gr)), (j, (s, gs)) in combinations(enumerate(zip(images, getters)), 2))
+    failing = [(i, j, [x for x, (u, v) in enumerate(zip(ij, ji)) if u != v])
+               for i, j, ij, ji in pairs if ij != ji]
+    if not failing:
+        return
+    contexts: list[list] = [[] for _ in images]
+    for ctx, i in row_of.items():
+        contexts[i].append(ctx)
+    first = min(tuple(sorted(contexts[i][0] + contexts[j][0] + (x,)))
+                for i, j, xs in failing for x in xs)
+    yield _split_witness(a, first, k, nested)
+    rest = {tuple(sorted(o + p + (x,)))
+            for i, j, xs in failing for o in contexts[i] for p in contexts[j] for x in xs}
+    for ms in sorted(rest - {first}):
+        yield _split_witness(a, ms, k, nested)
 
 
-def _f_associative(a: HyperStructure) -> bool:
+def _split_witness(a: HyperStructure, ms: tuple[int, ...], k: int, nested):
+    """The witness of failing ``ms``: its first split and the first that disagrees."""
+    (base_inner, base_outer), *splits = multiset_splits(ms, k)
+    base_val = nested(a, base_inner, base_outer)
+    inner = next(inner for inner, outer in splits if nested(a, inner, outer) != base_val)
+    names = a.render_elements
+    return ((ms, base_inner, inner),
+            f"nesting {names(base_inner)} and {names(inner)} inside "
+            f"{names(ms)} give different results")
+
+
+def _assoc_f(a: HyperStructure):
     t = a.translations
-    return _commute([_image(t.f_masks, r) for r in t.f[1]], t.f_getters)
+    return _assoc(a, a.m, _nested_f, t.f[0], [_image(t.f_masks, r) for r in t.f[1]],
+                  t.f_getters)
 
 
-def _g_associative(a: HyperStructure) -> bool:
-    rows = a.translations.g[1]
-    return _commute(rows, [itemgetter(*r) for r in rows])
-
-
-def _assoc(a: HyperStructure, k: int, nested):
-    # Any two length-k windows of a (2k-1)-tuple overlap in at least one slot,
-    # so every pair of k-sub-multisets occurs as a window pair of some tuple:
-    # requiring all splits of each multiset to agree covers all position pairs.
-    for ms in multisets(a.size, 2 * k - 1):
-        base_inner = None
-        base_val = None
-        for inner, outer in multiset_splits(ms, k):
-            val = nested(a, inner, outer)
-            if base_inner is None:
-                base_inner, base_val = inner, val
-            elif val != base_val:
-                names = a.render_elements
-                yield ((ms, base_inner, inner),
-                       f"nesting {names(base_inner)} and {names(inner)} inside "
-                       f"{names(ms)} give different results")
-                break
+def _assoc_g(a: HyperStructure):
+    row_of, rows = a.translations.g
+    return _assoc(a, a.n, _nested_g, row_of, rows, [itemgetter(*r) for r in rows])
 
 
 def _neutral(a: HyperStructure):
@@ -185,50 +199,33 @@ def _solvability(a: HyperStructure):
                    f"for any choice of the remaining argument")
 
 
-def _empty_values(a: HyperStructure):
-    for ms, value in sorted(a.f_table.items()):
-        if not value:
-            yield (ms,), f"f{a.render_elements(ms)} is empty"
-
-
-def _undistributed(a: HyperStructure, scaled: tuple[int, ...]):
-    """(ms, lhs, rhs) of the first m-multiset that the scaled row does not
-    distribute over, or None."""
-    for ms in multisets(a.size, a.m):
-        lhs = 0
-        for t in a.f_table[ms]:
-            lhs |= 1 << scaled[t]
-        rhs = a.f_table[tuple(sorted(scaled[x] for x in ms))].mask
-        if lhs != rhs:
-            return ms, lhs, rhs
-    return None
-
-
-def _distributes(a: HyperStructure, row: tuple[int, ...]) -> bool:
-    """Whether g with the translation row ``row`` distributes over f.
+def _undistributed(a: HyperStructure, row: tuple[int, ...]) -> tuple | None:
+    """(ms, lhs, rhs) of the first m-multiset that g with the translation
+    row ``row`` does not distribute over, or None.
 
     For each (m-1)-multiset O, the image of f's row of O under ``row`` is
-    x -> row(f(O + {x})), and f's row of sorted row(O), composed with
-    ``row``, is x -> f(row(O + {x})).  The pairs (O, x) reach every
-    m-multiset, so the two agree for every O exactly when
-    ``_undistributed(a, row)`` is None.
+    x -> row(f(O + {x})), the lhs masks, and f's row of sorted row(O),
+    composed with ``row``, is x -> f(row(O + {x})), the rhs masks.  The
+    pairs (O, x) reach every m-multiset, so the first failing one is the
+    least O + {x} where the two differ.
     """
     t = a.translations
     f_row_of, f_rows = t.f
     image = _image(t.f_masks, tuple(1 << y for y in row))
     getters, after, at = t.f_getters, itemgetter(*row), row.__getitem__
-    return all(getters[i](image) == after(f_rows[f_row_of[tuple(sorted(map(at, ctx)))]])
-               for ctx, i in f_row_of.items())
+    pairs = ((ctx, getters[i](image), after(f_rows[f_row_of[tuple(sorted(map(at, ctx)))]]))
+             for ctx, i in f_row_of.items())
+    return min(((insert_sorted(ctx, x), u, v) for ctx, lhs, rhs in pairs if lhs != rhs
+                for x, (u, v) in enumerate(zip(lhs, rhs)) if u != v), default=None)
 
 
 def _distrib(a: HyperStructure):
-    # the verdict of a context depends only on its translation row of g;
-    # the per-multiset scan runs only on a failing row, to name its witness
+    # the verdict of a context depends only on its translation row of g
     row_of, rows = a.translations.g
     verdicts: dict[int, tuple | None] = {}
     for ctx, i in row_of.items():
         if i not in verdicts:
-            verdicts[i] = None if _distributes(a, rows[i]) else _undistributed(a, rows[i])
+            verdicts[i] = _undistributed(a, rows[i])
         if verdicts[i] is not None:
             ms, lhs, rhs = verdicts[i]
             yield ((ctx, ms),
@@ -257,15 +254,14 @@ def _one_identity(a: HyperStructure):
 # axiom name -> scan, in check order: the canonical m-ary hypergroup (A, f),
 # then the g-side axioms of a Krasner (m, n)-hyperring
 HYPERGROUP_AXIOMS = {
-    "F_VALUE_EMPTY": _empty_values,
     "NEUTRAL": _neutral,
     "INVERSE_UNIQUE": _inverses,
-    "ASSOC_F": lambda a: () if _f_associative(a) else _assoc(a, a.m, _nested_f),
+    "ASSOC_F": _assoc_f,
     "REVERSIBILITY": _reversibility,
     "QUASI_SOLVABLE": _solvability,
 }
 G_AXIOMS = {
-    "ASSOC_G": lambda a: () if _g_associative(a) else _assoc(a, a.n, _nested_g),
+    "ASSOC_G": _assoc_g,
     "DISTRIB": _distrib,
     "ZERO_ABSORB": _zero_absorb,
     "ONE_IDENTITY": _one_identity,
@@ -304,8 +300,6 @@ def replay(a: HyperStructure, violation: AxiomViolation) -> bool:
     w = _parse_witness(a, ax, violation.witness)
     if w is None:
         return False
-    if ax == "F_VALUE_EMPTY":
-        return not a.f_table[w[0]]
     if ax == "NEUTRAL":
         (e,) = w
         value = a.f_table[tuple(sorted((e,) + (a.zero,) * (a.m - 1)))]
@@ -357,7 +351,7 @@ def _parse_witness(a: HyperStructure, axiom: str, witness) -> tuple | None:
     """
     m, n = a.m, a.n
     shapes = {
-        "F_VALUE_EMPTY": (m,), "NEUTRAL": ("x",), "INVERSE_UNIQUE": ("x",),
+        "NEUTRAL": ("x",), "INVERSE_UNIQUE": ("x",),
         "ASSOC_F": (2 * m - 1, m, m), "REVERSIBILITY": (m, "x", "i"),
         "QUASI_SOLVABLE": (m - 1, "x"), "ASSOC_G": (2 * n - 1, n, n),
         "DISTRIB": (n - 1, m), "ZERO_ABSORB": (n - 1,), "ONE_IDENTITY": ("x",),

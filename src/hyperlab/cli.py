@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from .axioms import check_krasner
@@ -96,10 +97,10 @@ def _budget(parser: argparse.ArgumentParser) -> int | None:
     raw = os.environ.get("HYPERLAB_BUDGET")
     if raw is None:
         return None
-    try:
-        return int(raw)
-    except ValueError:
-        parser.error(f"HYPERLAB_BUDGET must be an integer, got {raw!r}")
+    # int() would also take "-5", "1_000", " 12 " and non-ASCII digits
+    if not re.fullmatch(r"[0-9]+", raw):
+        parser.error(f"HYPERLAB_BUDGET must be a non-negative integer, got {raw!r}")
+    return int(raw)
 
 
 def _resolve_structure(args, parser: argparse.ArgumentParser) -> HyperStructure:

@@ -282,6 +282,10 @@ class HyperStructure:
     translations: Translations = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        # here, not in from_tables, so that no construction holds an empty f value
+        for key, value in self.f_table.items():
+            if not value:
+                raise TableError(f"f value for {key} is empty")
         inverses = {}
         for x in range(self.size):
             cands = inverse_candidates(self, x)
@@ -318,10 +322,7 @@ class HyperStructure:
         # checked and converted in place, so each table is held once
         f_table = _normalize_table(f_entries, m, size, "f")
         for key, value in f_table.items():
-            es = ElementSet.from_indices(value, size)  # type: ignore[arg-type]
-            if not es:
-                raise TableError(f"f value for {key} is empty")
-            f_table[key] = es
+            f_table[key] = ElementSet.from_indices(value, size)  # type: ignore[arg-type]
 
         g_table = _normalize_table(g_entries, n, size, "g")
         for key, value in g_table.items():

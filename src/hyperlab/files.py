@@ -65,9 +65,9 @@ def document_to_structure(doc: object) -> HyperStructure:
     if (not isinstance(carrier, list)
             or not all(isinstance(x, str) for x in carrier)):
         raise LoadError("carrier must be a list of element names")
-    for name in carrier:
-        if KEY_SEPARATOR in name:
-            raise LoadError(f"carrier name {name!r} contains {KEY_SEPARATOR!r}, "
+    for element in carrier:
+        if KEY_SEPARATOR in element:
+            raise LoadError(f"carrier name {element!r} contains {KEY_SEPARATOR!r}, "
                             f"which separates the names of a table key")
     index = {name: i for i, name in enumerate(carrier)}
     if len(index) != len(carrier):

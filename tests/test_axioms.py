@@ -44,9 +44,8 @@ def test_high_arity_scan_stays_fast():
 
 def test_axiom_order_is_fixed():
     assert AXIOM_ORDER == (
-        "F_VALUE_EMPTY", "NEUTRAL", "INVERSE_UNIQUE", "ASSOC_F",
-        "REVERSIBILITY", "QUASI_SOLVABLE", "ASSOC_G", "DISTRIB",
-        "ZERO_ABSORB", "ONE_IDENTITY")
+        "NEUTRAL", "INVERSE_UNIQUE", "ASSOC_F", "REVERSIBILITY",
+        "QUASI_SOLVABLE", "ASSOC_G", "DISTRIB", "ZERO_ABSORB", "ONE_IDENTITY")
 
 
 @GOLDEN_INPUTS
@@ -131,39 +130,101 @@ ORACLE_BASES = {
 }
 
 
-def _one_entry_mutants(a, seed, count=12):
-    """Seeded copies of ``a`` with one f entry (a random non-empty subset)
-    replaced, then as many with one g entry replaced."""
+def _mutants(a, seed, count=12, entries=1):
+    """Seeded copies of ``a`` with ``entries`` f entries (each a random
+    non-empty subset) replaced, then as many with ``entries`` g entries
+    replaced."""
     rng = random.Random(seed)
     f_keys, g_keys = sorted(a.f_table), sorted(a.g_table)
     for _ in range(count):
-        value = [x for x in range(a.size) if rng.random() < 0.5] or [rng.randrange(a.size)]
-        yield "f", mutated(a, f_key=rng.choice(f_keys), f_value=tuple(value))
+        f_entries = {k: tuple(v) for k, v in a.f_table.items()}
+        for key in rng.sample(f_keys, entries):
+            f_entries[key] = ([x for x in range(a.size) if rng.random() < 0.5]
+                              or [rng.randrange(a.size)])
+        yield "f", H.HyperStructure.from_tables(a.m, a.n, a.names, f_entries, a.g_table,
+                                                a.zero, a.one, label=a.label)
     for _ in range(count):
-        yield "g", mutated(a, g_key=rng.choice(g_keys), g_value=rng.randrange(a.size))
+        g_entries = dict(a.g_table)
+        for key in rng.sample(g_keys, entries):
+            g_entries[key] = rng.randrange(a.size)
+        yield "g", H.HyperStructure.from_tables(a.m, a.n, a.names, a.f_table, g_entries,
+                                                a.zero, a.one, label=a.label)
 
 
-@pytest.mark.parametrize("base", list(ORACLE_BASES))
+def all_splits_assoc(a, k, nested):
+    """The ASSOC scan over every (2k-1)-multiset and every split of it."""
+    # Any two length-k windows of a (2k-1)-tuple overlap in at least one slot,
+    # so every pair of k-sub-multisets occurs as a window pair of some tuple:
+    # requiring all splits of each multiset to agree covers all position pairs.
+    for ms in itertools.combinations_with_replacement(range(a.size), 2 * k - 1):
+        base_inner = None
+        base_val = None
+        for inner, outer in core.multiset_splits(ms, k):
+            val = nested(a, inner, outer)
+            if base_inner is None:
+                base_inner, base_val = inner, val
+            elif val != base_val:
+                names = a.render_elements
+                yield ((ms, base_inner, inner),
+                       f"nesting {names(base_inner)} and {names(inner)} inside "
+                       f"{names(ms)} give different results")
+                break
+
+
+def per_multiset_undistributed(a, scaled):
+    """(ms, lhs, rhs) of the first m-multiset that the scaled row does not
+    distribute over, or None, by one f lookup pair per m-multiset."""
+    for ms in itertools.combinations_with_replacement(range(a.size), a.m):
+        lhs = 0
+        for t in a.f_table[ms]:
+            lhs |= 1 << scaled[t]
+        rhs = a.f_table[tuple(sorted(scaled[x] for x in ms))].mask
+        if lhs != rhs:
+            return ms, lhs, rhs
+    return None
+
+
+def per_multiset_distrib(a):
+    """The DISTRIB scan by the per-multiset scan of every g context's row."""
+    for ctx in itertools.combinations_with_replacement(range(a.size), a.n - 1):
+        failure = per_multiset_undistributed(
+            a, tuple(a.g_table[insert_sorted(ctx, x)] for x in range(a.size)))
+        if failure is not None:
+            ms, lhs, rhs = failure
+            yield ((ctx, ms),
+                   f"g over f{a.render_elements(ms)} with fixed arguments "
+                   f"{a.render_elements(ctx)} is {H.ElementSet(lhs, a.size).render(a.names)}, "
+                   f"expected {H.ElementSet(rhs, a.size).render(a.names)}")
+
+
+# the registry with ASSOC and DISTRIB scanned multiset by multiset
+ORACLE_AXIOMS = {**axioms.HYPERGROUP_AXIOMS, **axioms.G_AXIOMS,
+                 "ASSOC_F": lambda a: all_splits_assoc(a, a.m, axioms._nested_f),
+                 "ASSOC_G": lambda a: all_splits_assoc(a, a.n, axioms._nested_g),
+                 "DISTRIB": per_multiset_distrib}
+
+
+@pytest.mark.parametrize("base", [*ORACLE_BASES, "ring:Z12", "ring:Z2xZ6"])
 def test_composition_matches_all_splits_scan(base):
-    # the all-splits scan is the oracle of the translation-row test
-    a = ORACLE_BASES[base]()
-    verdicts = {"ASSOC_F": set(), "ASSOC_G": set()}
-    for op, b in [("base", a), *_one_entry_mutants(a, seed=base)]:
-        for axiom, k, associative, nested in (
-                ("ASSOC_F", b.m, axioms._f_associative, axioms._nested_f),
-                ("ASSOC_G", b.n, axioms._g_associative, axioms._nested_g)):
-            fast = associative(b)
-            oracle = next(axioms._assoc(b, k, nested), None) is None
-            assert fast == oracle, (base, op, axiom)
-            verdicts[axiom].add(fast)
-    assert verdicts == {"ASSOC_F": {True, False}, "ASSOC_G": {True, False}}
+    # the all-splits and per-multiset scans are the oracles of the row
+    # routes: the same violations, in full and first-only
+    a = ORACLE_BASES[base]() if base in ORACLE_BASES else H.fixture(base).structure
+    failed = {"ASSOC_F": set(), "ASSOC_G": set()}
+    cases = [("base", a), *_mutants(a, seed=base), *_mutants(a, seed=base, count=6, entries=2)]
+    for op, b in cases:
+        full = H.check_krasner(b)
+        assert full == axioms._scan(b, ORACLE_AXIOMS, False), (base, op)
+        assert H.check_krasner(b, first_violation=True) == axioms._scan(b, ORACLE_AXIOMS, True)
+        for axiom, fails in failed.items():
+            fails.add(any(v.axiom == axiom for v in full))
+    assert failed == {"ASSOC_F": {True, False}, "ASSOC_G": {True, False}}
 
 
 @pytest.mark.parametrize("op, k, size", [("g", 2, 3), ("g", 3, 2), ("g", 4, 2),
                                          ("f", 2, 2), ("f", 3, 2)])
 def test_composition_matches_all_splits_scan_on_every_small_table(op, k, size):
-    # every commutative table of one shape, so no case the pairwise
-    # commutation test might miss is left to the seeded draw
+    # every commutative table of one shape, so no case the row-pair listing
+    # might miss is left to the seeded draw
     names = tuple(map(str, range(size)))
     keys = list(itertools.combinations_with_replacement(range(size), k))
     values = ([tuple(x for x in range(size) if mask >> x & 1) for mask in range(1, 1 << size)]
@@ -174,27 +235,26 @@ def test_composition_matches_all_splits_scan_on_every_small_table(op, k, size):
         table = dict(zip(keys, row))
         if op == "f":
             a = H.HyperStructure.from_tables(k, 2, names, table, dict.fromkeys(binary, 0), 0)
-            fast = axioms._f_associative(a)
-            oracle = next(axioms._assoc(a, k, axioms._nested_f), None) is None
+            found = list(axioms._assoc_f(a))
+            assert found == list(all_splits_assoc(a, k, axioms._nested_f)), table
         else:
             a = H.HyperStructure.from_tables(2, k, names, binary, table, 0)
-            fast = axioms._g_associative(a)
-            oracle = next(axioms._assoc(a, k, axioms._nested_g), None) is None
-        assert fast == oracle, table
-        verdicts.add(fast)
+            found = list(axioms._assoc_g(a))
+            assert found == list(all_splits_assoc(a, k, axioms._nested_g)), table
+        verdicts.add(not found)
     assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("name", ["paper-2-4", "ring:Z4", "ring:Z5", "ring:Z2xZ3"])
 def test_row_images_match_per_multiset_scan_on_every_map(name):
-    # the per-multiset scan is the oracle of the DISTRIB row check, here on
+    # the per-multiset scan is the oracle of the DISTRIB row route, here on
     # every map carrier -> carrier, not only on the rows g has
     a = H.fixture(name).structure
     verdicts = set()
     for row in itertools.product(range(a.size), repeat=a.size):
-        fast = axioms._distributes(a, row)
-        assert fast == (axioms._undistributed(a, row) is None), row
-        verdicts.add(fast)
+        found = axioms._undistributed(a, row)
+        assert found == per_multiset_undistributed(a, row), row
+        verdicts.add(found is None)
     assert verdicts == {True, False}
 
 
@@ -202,11 +262,11 @@ def test_row_images_match_per_multiset_scan_on_every_map(name):
 def test_row_images_match_per_multiset_scan_on_mutants(base):
     a = ORACLE_BASES[base]()
     verdicts = set()
-    for op, b in [("base", a), *_one_entry_mutants(a, seed=base)]:
+    for op, b in [("base", a), *_mutants(a, seed=base)]:
         for row in b.translations.g[1]:
-            fast = axioms._distributes(b, row)
-            assert fast == (axioms._undistributed(b, row) is None), (base, op, row)
-            verdicts.add(fast)
+            found = axioms._undistributed(b, row)
+            assert found == per_multiset_undistributed(b, row), (base, op, row)
+            verdicts.add(found is None)
     assert verdicts == {True, False}
 
 
@@ -248,7 +308,7 @@ def direct_one_identity(a):
 def test_row_scans_match_direct_lookups_on_mutants(base):
     a = ORACLE_BASES[base]()
     failed = set()
-    for op, b in [("base", a), *_one_entry_mutants(a, seed=base)]:
+    for op, b in [("base", a), *_mutants(a, seed=base)]:
         for scan, oracle in ((axioms._reversibility, direct_reversibility),
                              (axioms._solvability, direct_solvability),
                              (axioms._one_identity, direct_one_identity)):
@@ -260,22 +320,20 @@ def test_row_scans_match_direct_lookups_on_mutants(base):
 
 
 def test_empty_f_value_is_reported():
-    # from_tables refuses an empty f value, so build the dataclass directly
+    # every construction refuses an empty f value, the dataclass call too
     z4 = H.fixture("ring:Z4").structure
     f_table = dict(z4.f_table)
     f_table[(1, 2)] = H.ElementSet.empty(z4.size)
-    a = H.HyperStructure(z4.m, z4.n, z4.names, f_table, z4.g_table, z4.zero, z4.one)
-    (first,) = H.check_krasner(a, first_violation=True)
-    assert (first.axiom, first.witness) == ("F_VALUE_EMPTY", ((1, 2),))
-    violations = H.check_krasner(a)
-    assert violations[0] == first
-    assert all(H.replay(a, v) for v in violations)
+    with pytest.raises(H.TableError, match=r"f value for \(1, 2\) is empty"):
+        H.HyperStructure(z4.m, z4.n, z4.names, f_table, z4.g_table, z4.zero, z4.one)
+    with pytest.raises(H.TableError, match=r"f value for \(1, 2\) is empty"):
+        mutated(z4, f_key=(1, 2), f_value=())
 
 
 @pytest.mark.parametrize("name", ["paper-2-4", "ring:Z12"])
 def test_valid_structure_runs_no_split_scan(monkeypatch, name):
     # a valid structure is decided from its translation rows alone: no
-    # all-splits or per-multiset scan, and each operation's rows are built
+    # multiset is split or nested, and each operation's rows are built
     # once per structure, shared by the check and the ideal questions
     a = H.fixture(name).structure
     called, builds = [], []
@@ -286,7 +344,7 @@ def test_valid_structure_runs_no_split_scan(monkeypatch, name):
             return real(*args)
         return call
 
-    for fn in ("_nested_f", "_nested_g", "_undistributed"):
+    for fn in ("_nested_f", "_nested_g", "multiset_splits"):
         monkeypatch.setattr(axioms, fn, counted(getattr(axioms, fn)))
     real_translations = core._translations
 
@@ -320,7 +378,35 @@ def test_first_assoc_witness_comes_from_the_all_splits_scan(base, key, value):
     broken = mutated(H.fixture(base).structure, g_key=key, g_value=value)
     (first,) = H.check_krasner(broken, first_violation=True)
     assert first.axiom == "ASSOC_G"
-    assert (first.witness, first.detail) == next(axioms._assoc(broken, broken.n, axioms._nested_g))
+    assert (first.witness, first.detail) == next(all_splits_assoc(broken, broken.n,
+                                                                  axioms._nested_g))
+
+
+@pytest.fixture(scope="module")
+def square():
+    madar = H.fixture("paper-2-4").structure
+    return H.product(madar, madar, label="paper-2-4^2")
+
+
+def test_assoc_splits_only_the_multisets_it_reports(monkeypatch, square):
+    # g(1,2,3,5) raised by one: the f side passes, ASSOC_G fails
+    broken = mutated(square, g_key=(1, 2, 3, 5), g_value=square.g_table[1, 2, 3, 5] + 1)
+    split = []
+    real_splits = axioms.multiset_splits
+
+    def counted_splits(ms, k):
+        split.append(ms)
+        return real_splits(ms, k)
+
+    monkeypatch.setattr(axioms, "multiset_splits", counted_splits)
+    (first,) = H.check_krasner(broken, first_violation=True)
+    assert first.axiom == "ASSOC_G"
+    assert split == [first.witness[0]]
+    split.clear()
+    full = H.check_krasner(broken)
+    assoc = [v.witness[0] for v in full if v.axiom == "ASSOC_G"]
+    assert full[0] == first and len(assoc) > 1
+    assert split == assoc
 
 
 class TestPrintedTablesDiscrepancy:
@@ -376,8 +462,7 @@ class TestMutations:
                 assert H.replay(z6, H.AxiomViolation(axiom, witness, "")) is False
         # one malformed witness per axiom: a wrong arity, a missing part, or
         # an index outside the carrier of six elements
-        for axiom, witness in (("F_VALUE_EMPTY", ((0, 9),)),
-                               ("NEUTRAL", (70,)),
+        for axiom, witness in (("NEUTRAL", (70,)),
                                ("INVERSE_UNIQUE", (99,)),
                                ("REVERSIBILITY", ((0, 9), 1, 0)),
                                ("REVERSIBILITY", ((0, 1), 1, 2)),
@@ -388,8 +473,9 @@ class TestMutations:
                                ("ONE_IDENTITY", 3)):
             assert axiom in AXIOM_ORDER
             assert H.replay(z6, H.AxiomViolation(axiom, witness, "")) is False
-        with pytest.raises(ValueError):
-            H.replay(z6, H.AxiomViolation("NOT_AN_AXIOM", (0,), ""))
+        for tag in ("NOT_AN_AXIOM", "F_VALUE_EMPTY"):
+            with pytest.raises(ValueError):
+                H.replay(z6, H.AxiomViolation(tag, ((0, 1),), ""))
 
 
 class TestIteratedOperations:

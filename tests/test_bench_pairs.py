@@ -1,5 +1,6 @@
 """tools/bench_pairs.py checks its --workload specs before any run starts,
-keeps every run's round count and alternates the side traced first."""
+keeps every run's round count, alternates the side traced first and gives
+each metric a verdict."""
 
 import importlib.util
 import json
@@ -48,7 +49,7 @@ def test_round_counts_kept_per_side(tmp_path, monkeypatch):
     for side in ("parent", "change"):
         (tmp_path / side).mkdir()
     (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
-        {"name": "peak_rss_mb", "unit": "MB", "better": "lower"}]}))
+        {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.25}]}))
     monkeypatch.setattr(bench_pairs, "run", fake_run)
     out = tmp_path / "out.json"
     assert bench_pairs.main(["--parent", str(tmp_path / "parent"),
@@ -76,7 +77,7 @@ def test_traced_order_alternates_per_workload(tmp_path, monkeypatch):
     for side in ("parent", "change"):
         (tmp_path / side).mkdir()
     (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
-        {"name": "ops_per_s", "unit": "1/s", "better": "higher"}]}))
+        {"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.25}]}))
     monkeypatch.setattr(bench_pairs, "run", fake_run)
     out = tmp_path / "out.json"
     assert bench_pairs.main(["--parent", str(tmp_path / "parent"),
@@ -91,3 +92,37 @@ def test_traced_order_alternates_per_workload(tmp_path, monkeypatch):
         "validate": ["parent", "change"], "mutants": ["change", "parent"],
         "ideals": ["parent", "change"]}
     assert all(set(w["traced"]) == {"parent", "change"} for w in workloads.values())
+
+
+WIDE = [50, 150, 60, 140, 70, 130, 80, 120, 90, 110]  # median 100, IQR 55
+
+
+@pytest.mark.parametrize("better, parent, change, expected", [
+    ("higher", range(100, 110), range(150, 160), "gain"),
+    ("higher", range(100, 110), range(60, 70), "worse"),
+    ("lower", range(100, 110), range(130, 140), "worse"),
+    ("higher", WIDE, [v + 5 for v in WIDE], "unresolved"),
+    ("higher", range(100, 110), range(98, 108), "no worse"),
+    # wider spread than the bound, but every change run beats every parent run
+    ("higher", WIDE, [151] * 10, "no worse"),
+], ids=["gain", "worse", "worse-lower", "unresolved", "no-worse", "no-worse-all-beat"])
+def test_verdict_per_metric(tmp_path, monkeypatch, better, parent, change, expected):
+    values = {"parent": list(parent), "change": list(change)}
+
+    def fake_run(root, workload, seed, seconds, trace):
+        value = values[root.name][seed - 1] if not trace else 1.0
+        return {"correct": True, "attempted": 1, "failed": 0,
+                "metrics": {"ops_per_s": {"value": float(value), "unit": "1/s"}},
+                "rounds": 1, "unmeasured": {}}
+
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "ops_per_s", "unit": "1/s", "better": better, "bound": 0.25}]}))
+    monkeypatch.setattr(bench_pairs, "run", fake_run)
+    out = tmp_path / "out.json"
+    assert bench_pairs.main(["--parent", str(tmp_path / "parent"),
+                             "--change", str(tmp_path / "change"), "--out", str(out),
+                             "--workload", "mutants:10", "--first-seed", "1"]) == 0
+    summary = json.loads(out.read_text())["workloads"]["mutants"]["metrics"]["ops_per_s"]
+    assert summary["verdict"] == expected

@@ -53,10 +53,11 @@ class TestValidate:
         assert code == 1
         assert len(out.splitlines()) == 1
 
-    def test_json_violations(self, capsys, ex33_path):
+    def test_json_violations(self, capsys, ex33_path, ex33):
         code, out, _ = run_cli(capsys, "validate", "--json", ex33_path)
         assert code == 1
         doc = json.loads(out)
+        assert doc["structure"] == ex33.label == "paper-3-3"
         assert doc["valid"] is False
         assert doc["violations"][0]["axiom"] == "DISTRIB"
 
@@ -294,6 +295,14 @@ class TestBudget:
         monkeypatch.setenv("HYPERLAB_BUDGET", "lots")
         code, _, err = run_cli(capsys, "theorems", "--corpus", "none")
         assert code == 2
+
+    # each of these int() accepts; "\u0663" is an Arabic-Indic three
+    @pytest.mark.parametrize("raw", ["-5", "1_000", " 12 ", "\u0663"])
+    def test_budget_takes_only_ascii_digits(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("HYPERLAB_BUDGET", raw)
+        code, _, err = run_cli(capsys, "theorems", "--corpus", "none")
+        assert code == 2
+        assert "HYPERLAB_BUDGET must be a non-negative integer" in err
 
 
 def test_module_entry_point():

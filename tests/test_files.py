@@ -18,6 +18,8 @@ def test_document_round_trip(name):
     a = H.fixture(name).structure
     assert H.document_to_structure(H.structure_to_document(a)) == a
     assert H.deserialize(H.serialize(a)) == a
+    # the label does not take part in ==, so compare it on its own
+    assert H.document_to_structure(H.structure_to_document(a)).label == a.label
 
 
 def test_serialization_is_deterministic(z6):

@@ -18,9 +18,9 @@ an order effect rather than as a layer change.  PAIRS must be at least 2,
 since the quartiles need two runs a side.
 
 For every end-to-end metric of BENCHMARK.json the output gives each side's
-median and quartiles, the ratio of the medians and the pairs the change won
-(ties count for neither); it also keeps every run's raw values and, per
-side, every run's round count.
+median and quartiles, the ratio of the medians, the pairs the change won
+(ties count for neither) and a verdict (see ``verdict``); it also keeps
+every run's raw values and, per side, every run's round count.
 """
 
 from __future__ import annotations
@@ -64,6 +64,32 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def verdict(values: dict, higher: bool, bound: float, wins: int) -> str:
+    """One metric's verdict from its paired runs, by the metric's ``bound``.
+
+    - "gain": the change won at least 9 of 10 pairs, and its median is
+      better than the parent's by more than the parent's interquartile range;
+    - "worse": the change's median is worse by more than ``bound`` times the
+      parent's median;
+    - "unresolved": the parent's interquartile range exceeds ``bound`` times
+      its median, so a move within the bound cannot be told from spread,
+      unless every change run is better than every parent run;
+    - "no worse": anything else.
+    """
+    sign = 1 if higher else -1
+    parent, change = spread(values["parent"]), spread(values["change"])
+    iqr, median = parent["q3"] - parent["q1"], parent["median"]
+    better_by = sign * (change["median"] - median)
+    if 10 * wins >= 9 * len(values["parent"]) and better_by > iqr:
+        return "gain"
+    if -better_by > bound * median:
+        return "worse"
+    if (iqr > bound * median
+            and min(sign * v for v in values["change"]) <= max(sign * v for v in values["parent"])):
+        return "unresolved"
+    return "no worse"
+
+
 def summarise(runs: dict, metrics: list[dict]) -> dict:
     out = {}
     for metric in metrics:
@@ -76,7 +102,8 @@ def summarise(runs: dict, metrics: list[dict]) -> dict:
         out[name] = {"unit": metric["unit"], "better": metric["better"],
                      "parent": parent, "change": change,
                      "ratio": change["median"] / parent["median"],
-                     "wins": wins, "values": values}
+                     "wins": wins, "verdict": verdict(values, higher, metric["bound"], wins),
+                     "values": values}
     return out
 
 
