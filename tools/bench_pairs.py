@@ -64,8 +64,8 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def verdict(values: dict, higher: bool, bound: float, wins: int) -> str:
-    """One metric's verdict from its paired runs, by the metric's ``bound``.
+def verdict(summary: dict, higher: bool, bound: float) -> str:
+    """One metric's verdict from its ``summarise`` entry, by its ``bound``.
 
     - "gain": the change won at least 9 of 10 pairs, and its median is
       better than the parent's by more than the parent's interquartile range;
@@ -77,10 +77,10 @@ def verdict(values: dict, higher: bool, bound: float, wins: int) -> str:
     - "no worse": anything else.
     """
     sign = 1 if higher else -1
-    parent, change = spread(values["parent"]), spread(values["change"])
+    parent, change, values = summary["parent"], summary["change"], summary["values"]
     iqr, median = parent["q3"] - parent["q1"], parent["median"]
     better_by = sign * (change["median"] - median)
-    if 10 * wins >= 9 * len(values["parent"]) and better_by > iqr:
+    if 10 * summary["wins"] >= 9 * len(values["parent"]) and better_by > iqr:
         return "gain"
     if -better_by > bound * median:
         return "worse"
@@ -102,8 +102,8 @@ def summarise(runs: dict, metrics: list[dict]) -> dict:
         out[name] = {"unit": metric["unit"], "better": metric["better"],
                      "parent": parent, "change": change,
                      "ratio": change["median"] / parent["median"],
-                     "wins": wins, "verdict": verdict(values, higher, metric["bound"], wins),
-                     "values": values}
+                     "wins": wins, "values": values}
+        out[name]["verdict"] = verdict(out[name], higher, metric["bound"])
     return out
 
 
