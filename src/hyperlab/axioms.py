@@ -395,33 +395,29 @@ def _rest(ms: tuple[int, ...], part: tuple[int, ...]) -> tuple[int, ...] | None:
     return tuple(out)
 
 
-def iterate_f(a: HyperStructure, level: int, args: Sequence[int]) -> ElementSet:
-    """Left-nested iterate of f; needs level*(m-1)+1 arguments."""
+def _iterate(name: str, arity: int, first, step, level: int, args: Sequence[int]):
+    """Left-nested iterate of an operation of ``arity``: ``first`` on the
+    first ``arity`` arguments, then ``step(acc, chunk)`` over each next
+    ``arity - 1``; needs level*(arity-1)+1 arguments."""
     if level < 1:
         raise ArityError("iteration level must be at least 1")
-    expected = level * (a.m - 1) + 1
+    expected = level * (arity - 1) + 1
     if len(args) != expected:
-        raise ArityError(f"iterate_f at level {level} expects {expected} arguments, got {len(args)}")
-    acc = a.eval_f(args[: a.m])
-    pos = a.m
-    while pos < len(args):
-        chunk = args[pos: pos + a.m - 1]
-        acc = a.eval_f_on_sets([acc] + [ElementSet.single(x, a.size) for x in chunk])
-        pos += a.m - 1
+        raise ArityError(f"{name} at level {level} expects {expected} arguments, got {len(args)}")
+    acc = first(args[:arity])
+    for pos in range(arity, expected, arity - 1):
+        acc = step(acc, args[pos: pos + arity - 1])
     return acc
+
+
+def iterate_f(a: HyperStructure, level: int, args: Sequence[int]) -> ElementSet:
+    """Left-nested iterate of f; needs level*(m-1)+1 arguments."""
+    def step(acc, chunk):
+        return a.eval_f_on_sets([acc] + [ElementSet.single(x, a.size) for x in chunk])
+    return _iterate("iterate_f", a.m, a.eval_f, step, level, args)
 
 
 def iterate_g(a: HyperStructure, level: int, args: Sequence[int]) -> int:
     """Left-nested iterate of g; needs level*(n-1)+1 arguments."""
-    if level < 1:
-        raise ArityError("iteration level must be at least 1")
-    expected = level * (a.n - 1) + 1
-    if len(args) != expected:
-        raise ArityError(f"iterate_g at level {level} expects {expected} arguments, got {len(args)}")
-    acc = a.eval_g(args[: a.n])
-    pos = a.n
-    while pos < len(args):
-        chunk = args[pos: pos + a.n - 1]
-        acc = a.eval_g((acc,) + tuple(chunk))
-        pos += a.n - 1
-    return acc
+    return _iterate("iterate_g", a.n, a.eval_g,
+                    lambda acc, chunk: a.eval_g((acc, *chunk)), level, args)

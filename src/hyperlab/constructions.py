@@ -248,9 +248,9 @@ _EX33_NOTES = (
     "designated subset {0,2} is not a hyperideal of the printed tables",
 )
 
-# ASCII digits only (\d takes the digits of every script), and few enough
-# that int() never meets its digit limit; fullmatch, since $ allows "\n"
-_RING_NAME = re.compile(r"ring:Z([0-9]{1,3})(?:xZ([0-9]{1,3}))?")
+# ASCII digits without a leading zero (\d takes every script's digits; one name
+# per ring), few enough for int()'s digit limit; fullmatch, since $ allows "\n"
+_RING_NAME = re.compile(r"ring:Z([1-9][0-9]{0,2})(?:xZ([1-9][0-9]{0,2}))?")
 
 
 def fixture(name: str) -> Fixture:

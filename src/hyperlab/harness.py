@@ -121,7 +121,8 @@ class Instance:
 @dataclass
 class StructureContext:
     """A fixture prepared for the suite: validity scan, lattice, mult sets,
-    for a product fixture the contexts of its two factors, and the memo of
+    for a product fixture the contexts of its two factors, the run's
+    ideal-scan budget (None means the predicates' default) and the memo of
     the predicate verdicts decided on it so far (see ``_verdict``)."""
 
     fixture: Fixture
@@ -130,6 +131,7 @@ class StructureContext:
     lattice_error: str
     mult_sets: tuple[ElementSet, ...]
     factors: tuple[StructureContext, StructureContext] | None = None
+    budget: int | None = None
     verdicts: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -157,11 +159,11 @@ class StructureContext:
         return product(self.structure, f1.structure, label=label)
 
 
-def build_context(name: str) -> StructureContext:
-    return _prepare(fixture(name), MULT_SIZE_CAP)
+def build_context(name: str, budget: int | None = None) -> StructureContext:
+    return _prepare(fixture(name), MULT_SIZE_CAP, budget)
 
 
-def _prepare(fx: Fixture, mult_cap: int) -> StructureContext:
+def _prepare(fx: Fixture, mult_cap: int, budget: int | None) -> StructureContext:
     violations = tuple(check_krasner(fx.structure))
     lattice, err = None, ""
     if not violations:
@@ -174,12 +176,12 @@ def _prepare(fx: Fixture, mult_cap: int) -> StructureContext:
     mult_sets = tuple(multiplicative_subsets(fx.structure, mult_cap))
     factors = None
     if fx.factors:
-        factors = tuple(_prepare(f, PRODUCT_MULT_SIZE_CAP) for f in fx.factors)
-    return StructureContext(fx, violations, lattice, err, mult_sets, factors)
+        factors = tuple(_prepare(f, PRODUCT_MULT_SIZE_CAP, budget) for f in fx.factors)
+    return StructureContext(fx, violations, lattice, err, mult_sets, factors, budget)
 
 
-def build_corpus(names) -> list[StructureContext]:
-    return [build_context(name) for name in names]
+def build_corpus(names, budget: int | None = None) -> list[StructureContext]:
+    return [build_context(name, budget) for name in names]
 
 
 def _render(a: HyperStructure, subset: ElementSet) -> str:
@@ -187,23 +189,25 @@ def _render(a: HyperStructure, subset: ElementSet) -> str:
 
 
 def _verdict(ctx: StructureContext, predicate, q: ElementSet,
-             s: ElementSet | None = None, lattice: IdealLattice | None = None,
-             budget: int | None = None) -> Verdict:
-    """``predicate(ctx.structure, q[, s][, lattice, budget])``, decided once
-    per context.
+             s: ElementSet | None = None, lattice: IdealLattice | None = None) -> Verdict:
+    """``predicate(ctx.structure, q[, s][, lattice, ctx.budget])``, decided
+    once per context.
 
     Callers pass the predicate by its name in this module, so a wrapper
     bound over that name (a tracer, a test) sees every question the memo
-    has not answered yet.  The key is the predicate's name, Q, S and the
-    budget (which only the ideal-level predicate, given the lattice, reads).
-    A call that raises is not memoised.
+    has not answered yet.  The key is the predicate's name, Q and S.  A call
+    that raises is not memoised.
+
+    Asked directly instead: P4's integral-domain test (no Q), P6's
+    per-element ``strongly_associated``, and P16's restriction and P18's
+    triple (no context).
     """
-    key = (predicate.__name__, q.mask, None if s is None else s.mask, budget)
+    key = (predicate.__name__, q.mask, None if s is None else s.mask)
     verdict = ctx.verdicts.get(key)
     if verdict is None:
         args = (q,) if s is None else (q, s)
         if lattice is not None:
-            args += (lattice, budget)
+            args += (lattice, ctx.budget)
         verdict = ctx.verdicts[key] = predicate(ctx.structure, *args)
     return verdict
 
@@ -270,7 +274,7 @@ def _gen_q_without_one(corpus):
             yield f"{ctx.name}: Q={_render(a, q)}", dict(ctx=ctx, q=q)
 
 
-def _strongly_weakly_only(ctx, q, s, budget, reasons) -> str:
+def _strongly_weakly_only(ctx, q, s, reasons) -> str:
     """Why Q lacks "strongly weakly S-prime, but not S-prime": reasons[0]
     when it is not strongly weakly S-prime, reasons[1] when it is S-prime,
     "" when the hypothesis holds.  s None means S = {1}, where the
@@ -279,7 +283,7 @@ def _strongly_weakly_only(ctx, q, s, budget, reasons) -> str:
     unit = s is None
     if unit:
         s = ElementSet.single(a.one, a.size)
-    if not _verdict(ctx, is_strongly_weakly_s_prime, q, s, ctx.lattice, budget).holds:
+    if not _verdict(ctx, is_strongly_weakly_s_prime, q, s, ctx.lattice).holds:
         return reasons[0]
     if (_verdict(ctx, is_prime, q) if unit else _verdict(ctx, is_s_prime, q, s)).holds:
         return reasons[1]
@@ -305,7 +309,7 @@ def _gen_p1(corpus):
                 yield desc, dict(ctx=ctx, q=q, s=s, js=js)
 
 
-def _eval_p1(ctx, q, s, js, budget=None):
+def _eval_p1(ctx, q, s, js):
     a = ctx.structure
     if not _verdict(ctx, is_weakly_s_prime, q, s).holds:
         return SKIPPED, "Q is not weakly S-prime", None
@@ -326,7 +330,7 @@ def _gen_p2(corpus):
                     yield desc, dict(ctx=ctx, q=q, s=s, p=p)
 
 
-def _eval_p2(ctx, q, s, p, budget=None):
+def _eval_p2(ctx, q, s, p):
     a = ctx.structure
     if not _verdict(ctx, is_weakly_s_prime, q, s).holds:
         return SKIPPED, "Q is not weakly S-prime", None
@@ -336,7 +340,7 @@ def _eval_p2(ctx, q, s, p, budget=None):
     return _outcome(ok, "intersection lost weak S-primeness", cert)
 
 
-def _eval_p3(ctx, q, s, budget=None):
+def _eval_p3(ctx, q, s):
     a = ctx.structure
     chosen = None
     for cand in s:
@@ -363,7 +367,7 @@ def _gen_p4(corpus):
             yield f"{ctx.name}: S={_render(ctx.structure, s)}", dict(ctx=ctx, s=s)
 
 
-def _eval_p4(ctx, s, budget=None):
+def _eval_p4(ctx, s):
     a = ctx.structure
     disjoint = [q for q in ctx.lattice.proper() if not (q & s)]
 
@@ -401,7 +405,7 @@ def _transfer_condition(a: HyperStructure, s: ElementSet, t: ElementSet) -> bool
     return True
 
 
-def _eval_p5(ctx, s, t, q, budget=None):
+def _eval_p5(ctx, s, t, q):
     a = ctx.structure
     if not _transfer_condition(a, s, t):
         return SKIPPED, "power-partner condition between S and T fails", None
@@ -416,11 +420,11 @@ def _eval_p5(ctx, s, t, q, budget=None):
 
 # --------------------------------------------------------------- P6 .. P14
 
-def _eval_p6(ctx, q, s, budget=None):
+def _eval_p6(ctx, q, s):
     a = ctx.structure
     zero_mask = 1 << a.zero
     associated = [cand for cand in s
-                  if strongly_associated(a, q, cand, ctx.lattice, budget)]
+                  if strongly_associated(a, q, cand, ctx.lattice, ctx.budget)]
     if not associated:
         return SKIPPED, "no s in S passes the ideal-wise zero test", None
     # shared by every s: the zero products and g(kept, Q^(n - len(kept)))
@@ -452,9 +456,9 @@ def _eval_p6(ctx, q, s, budget=None):
     return VERIFIED, "", {"tuples_checked": checked}
 
 
-def _eval_power_zero(ctx, q, s=None, budget=None):
+def _eval_power_zero(ctx, q, s=None):
     """P7 (S given) and P9 (S = {1}): the n-th power of Q is zero."""
-    gap = _strongly_weakly_only(ctx, q, s, budget,
+    gap = _strongly_weakly_only(ctx, q, s,
                                 _UNIT_REASONS if s is None else _S_REASONS)
     if gap:
         return SKIPPED, gap, None
@@ -464,9 +468,9 @@ def _eval_power_zero(ctx, q, s=None, budget=None):
     return _outcome(image.mask == 1 << a.zero, "n-th power of Q is not zero", cert)
 
 
-def _eval_p8(ctx, q, s, budget=None):
+def _eval_p8(ctx, q, s):
     a = ctx.structure
-    if not _verdict(ctx, is_strongly_weakly_s_prime, q, s, ctx.lattice, budget).holds:
+    if not _verdict(ctx, is_strongly_weakly_s_prime, q, s, ctx.lattice).holds:
         return SKIPPED, "Q is not strongly weakly S-prime", None
     rad0 = _zero_radical(ctx)
     if q <= rad0:
@@ -480,19 +484,19 @@ def _eval_p8(ctx, q, s, budget=None):
         "rad0": _render(a, rad0)}
 
 
-def _eval_p10(ctx, q, s, budget=None):
-    direct = _verdict(ctx, is_strongly_weakly_s_prime, q, s, ctx.lattice, budget)
+def _eval_p10(ctx, q, s):
+    direct = _verdict(ctx, is_strongly_weakly_s_prime, q, s, ctx.lattice)
     via_colon = _verdict(ctx, is_strongly_weakly_s_prime_colon, q, s)
     cert = {"direct": bool(direct.holds), "colon": bool(via_colon.holds)}
     return _outcome(bool(direct.holds) == bool(via_colon.holds),
                     "direct and colon routes disagree", cert)
 
 
-def _eval_p11(ctx, q, budget=None):
+def _eval_p11(ctx, q):
     a = ctx.structure
     unit = ElementSet.single(a.one, a.size)
     direct = bool(_verdict(ctx, is_strongly_weakly_s_prime, q, unit,
-                           ctx.lattice, budget).holds)
+                           ctx.lattice).holds)
     by_equality = True
     by_inclusion = True
     for x in range(a.size):
@@ -512,8 +516,8 @@ def _eval_p11(ctx, q, budget=None):
                     "colon characterization disagrees", cert)
 
 
-def _eval_p12(ctx, q, s, budget=None):
-    gap = _strongly_weakly_only(ctx, q, s, budget, _S_REASONS)
+def _eval_p12(ctx, q, s):
+    gap = _strongly_weakly_only(ctx, q, s, _S_REASONS)
     if gap:
         return SKIPPED, gap, None
     a = ctx.structure
@@ -547,9 +551,9 @@ _PAIR_REASONS = ("an ideal is not strongly weakly S-prime",
                  "an ideal is S-prime, hypothesis needs failures")
 
 
-def _eval_p13(ctx, q1, q2, s, budget=None):
+def _eval_p13(ctx, q1, q2, s):
     for q in (q1, q2):
-        gap = _strongly_weakly_only(ctx, q, s, budget, _PAIR_REASONS)
+        gap = _strongly_weakly_only(ctx, q, s, _PAIR_REASONS)
         if gap:
             return SKIPPED, gap, None
     a = ctx.structure
@@ -562,8 +566,8 @@ def _eval_p13(ctx, q1, q2, s, budget=None):
     return COUNTEREXAMPLE, "no shared s kills both mixed products", None
 
 
-def _eval_p14(ctx, q, budget=None):
-    gap = _strongly_weakly_only(ctx, q, None, budget, _UNIT_REASONS)
+def _eval_p14(ctx, q):
+    gap = _strongly_weakly_only(ctx, q, None, _UNIT_REASONS)
     if gap:
         return SKIPPED, gap, None
     a = ctx.structure
@@ -601,19 +605,18 @@ def _gen_p15(corpus):
                     continue
                 desc = (f"{label}: S={_render(a1, s)} "
                         f"Q2={_render(a2, q2)}")
-                yield desc, dict(hom=hom, embedding=embedding, s=s, q2=q2)
+                yield desc, dict(src=src, tgt=tgt, hom=hom,
+                                 embedding=embedding, s=s, q2=q2)
 
 
-def _eval_p15(hom, embedding, s, q2, budget=None):
-    a1, a2 = hom.source, hom.target
+def _eval_p15(src, tgt, hom, embedding, s, q2):
     if not embedding:
         return SKIPPED, "map is not an embedding", None
-    hs = hom.map_set(s)
-    if not is_weakly_s_prime(a2, q2, hs).holds:
+    if not _verdict(tgt, is_weakly_s_prime, q2, hom.map_set(s)).holds:
         return SKIPPED, "target ideal is not weakly h(S)-prime", None
     pre = preimage_ideal(hom, q2)
-    ok = _bool_by_convention(is_weakly_s_prime, a1, pre, s)
-    cert = {"preimage": _render(a1, pre)}
+    ok = _bool_by_convention(_verdict, src, is_weakly_s_prime, pre, s)
+    cert = {"preimage": _render(hom.source, pre)}
     return _outcome(ok, "preimage lost weak S-primeness", cert)
 
 
@@ -637,7 +640,7 @@ def _gen_p16(corpus):
                                      s_sub=s_sub, s_par=s_par, q2=q2)
 
 
-def _eval_p16(ctx, sub, incl, s_sub, s_par, q2, budget=None):
+def _eval_p16(ctx, sub, incl, s_sub, s_par, q2):
     if not _verdict(ctx, is_weakly_s_prime, q2, s_par).holds:
         return SKIPPED, "ideal is not weakly S-prime in the big structure", None
     meet = preimage_ideal(incl, q2)
@@ -663,11 +666,11 @@ def _gen_p17(corpus):
                         desc = (f"{ctx.name}: Q1={_render(a1, q1)} "
                                 f"S1={_render(a1, s1)} Q2={_render(a2, q2)} "
                                 f"S2={_render(a2, s2)}")
-                        yield desc, dict(ctx=ctx, f1=f1, f2=f2,
-                                         q1=q1, q2=q2, s1=s1, s2=s2)
+                        yield desc, dict(ctx=ctx, q1=q1, q2=q2, s1=s1, s2=s2)
 
 
-def _eval_p17(ctx, f1, f2, q1, q2, s1, s2, budget=None):
+def _eval_p17(ctx, q1, q2, s1, s2):
+    f1, f2 = ctx.factors
     a1, a2 = f1.structure, f2.structure
     big_q = product_ideal(a1, a2, q1, q2)
     big_s = product_ideal(a1, a2, s1, s2)
@@ -703,7 +706,7 @@ def _gen_p18(corpus):
                                                  ss=(s1, s2, s3))
 
 
-def _eval_p18(ctx, qs, ss, budget=None):
+def _eval_p18(ctx, qs, ss):
     triple = ctx.triple
     f1, f2 = ctx.factors
     q1, q2, q3 = qs
@@ -742,10 +745,11 @@ def _gen_p19(corpus):
                 for p in ctx.lattice.proper():
                     desc = (f"{ctx.name}: S1={_render(a1, s1)} "
                             f"S2={_render(a2, s2)} P={_render(ctx.structure, p)}")
-                    yield desc, dict(ctx=ctx, f1=f1, f2=f2, s1=s1, s2=s2, p=p)
+                    yield desc, dict(ctx=ctx, s1=s1, s2=s2, p=p)
 
 
-def _eval_p19(ctx, f1, f2, s1, s2, p, budget=None):
+def _eval_p19(ctx, s1, s2, p):
+    f1, f2 = ctx.factors
     if not (_field_like(f1) and _field_like(f2)):
         return SKIPPED, "factors are not hyperfield-like", None
     a = ctx.structure
@@ -760,7 +764,7 @@ def _eval_p19(ctx, f1, f2, s1, s2, p, budget=None):
 
 
 # id -> (instance generator, evaluator).  Evaluators take the payload as
-# keywords, including the scan budget that run_suite may add.
+# keywords; a payload holds only the instance's own choices.
 STATEMENTS = {
     "P1": (_gen_p1, _eval_p1),
     "P2": (_gen_p2, _eval_p2),
@@ -831,15 +835,13 @@ def _discrepancy_reports(ctx: StructureContext) -> list[PropertyReport]:
 
 def run_suite(corpus_names=DEFAULT_CORPUS, budget: int | None = None,
               property_ids=PROPERTY_IDS) -> list[PropertyReport]:
-    corpus = build_corpus(corpus_names)
+    corpus = build_corpus(corpus_names, budget)
     reports: list[PropertyReport] = []
     for ctx in corpus:
         reports.append(_axiom_report(ctx))
         reports.extend(_discrepancy_reports(ctx))
     for pid in property_ids:
         for inst in generate_instances(pid, corpus):
-            if budget is not None:
-                inst.payload.setdefault("budget", budget)
             reports.append(run_property(pid, inst))
     return reports
 
@@ -848,14 +850,12 @@ def search_separating_instances(corpus_names, holds: str, fails: str,
                                 budget: int | None = None) -> list[dict]:
     """All (structure, Q, S) where `holds` is true and `fails` is false."""
     found = []
-    for ctx in _usable(build_corpus(corpus_names)):
+    for ctx in _usable(build_corpus(corpus_names, budget)):
         a = ctx.structure
         for q, s in _qs_pairs(ctx):
             try:
-                pos = evaluate_predicate(holds, a, q, s, ctx.lattice,
-                                         budget=budget)
-                neg = evaluate_predicate(fails, a, q, s, ctx.lattice,
-                                         budget=budget)
+                pos, neg = (evaluate_predicate(pred, a, q, s, ctx.lattice, budget=ctx.budget)
+                            for pred in (holds, fails))
             except (IdentityRequired, CapacityError, NotProper,
                     DisjointnessViolated):
                 continue

@@ -319,10 +319,9 @@ def evaluate_predicate(name: str, a: HyperStructure, q: ElementSet, s: ElementSe
     return predicate(a, q, s, lattice, budget)
 
 
-def multiplicative_subsets(a: HyperStructure, max_size: int,
-                           include_zero: bool = False) -> list[ElementSet]:
-    """All g-closed subsets up to the size cap, zero-free by default."""
-    pool = [x for x in range(a.size) if include_zero or x != a.zero]
+def multiplicative_subsets(a: HyperStructure, max_size: int) -> list[ElementSet]:
+    """All zero-free g-closed subsets up to the size cap."""
+    pool = [x for x in range(a.size) if x != a.zero]
     out = []
     for k in range(1, max_size + 1):
         for combo in combinations(pool, k):

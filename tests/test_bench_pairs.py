@@ -1,6 +1,7 @@
 """tools/bench_pairs.py checks its --workload specs before any run starts,
 keeps every run's round count, alternates the side traced first and gives
-each metric a verdict."""
+each metric a verdict, and shows progress by the first metric of
+BENCHMARK.json."""
 
 import importlib.util
 import json
@@ -126,3 +127,25 @@ def test_verdict_per_metric(tmp_path, monkeypatch, better, parent, change, expec
                              "--workload", "mutants:10", "--first-seed", "1"]) == 0
     summary = json.loads(out.read_text())["workloads"]["mutants"]["metrics"]["ops_per_s"]
     assert summary["verdict"] == expected
+
+
+def test_progress_shows_the_first_named_metric(tmp_path, monkeypatch, capsys):
+    # neither BENCHMARK.json nor the runs name ops_per_s
+    def fake_run(root, workload, seed, seconds, trace):
+        return {"correct": True, "attempted": 1, "failed": 0,
+                "metrics": {"metric": {"value": 2.0 if root.name == "change" else 1.0,
+                                       "unit": "s"}},
+                "rounds": 1, "unmeasured": {}}
+
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "metric", "unit": "s", "better": "lower", "bound": 0.25}]}))
+    monkeypatch.setattr(bench_pairs, "run", fake_run)
+    out = tmp_path / "out.json"
+    assert bench_pairs.main(["--parent", str(tmp_path / "parent"),
+                             "--change", str(tmp_path / "change"), "--out", str(out),
+                             "--workload", "ideals:2"]) == 0
+    assert "ideals seed=1 parent: metric=1 " in capsys.readouterr().err
+    summary = json.loads(out.read_text())["workloads"]["ideals"]["metrics"]["metric"]
+    assert summary["values"] == {"parent": [1.0, 1.0], "change": [2.0, 2.0]}

@@ -204,8 +204,8 @@ class TestIdeals:
         assert code == 0
         assert len(json.loads(out)["ideals"]) == 8
 
-    @pytest.mark.parametrize("name", ["ring:Z" + "9" * 5000, "ring:Z\u0663"],
-                             ids=["many-digits", "arabic-indic-digit"])
+    @pytest.mark.parametrize("name", ["ring:Z" + "9" * 5000, "ring:Z\u0663", "ring:Z06"],
+                             ids=["many-digits", "arabic-indic-digit", "leading-zero"])
     def test_odd_fixture_names(self, capsys, name):
         code, out, err = run_cli(capsys, "ideals", "--fixture", name)
         assert (code, out) == (2, "")

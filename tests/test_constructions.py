@@ -144,9 +144,13 @@ class TestFixtures:
     def test_unknown_names_rejected(self):
         for bad in ("bogus", "ring:Z1", "ring:Z65", "ring:Z9xZ9",
                     "ring:Z\u0663", "ring:Z3xZ\u0662", "ring:Z3\n",
-                    "ring:Z" + "9" * 5000):
+                    "ring:Z" + "9" * 5000, "ring:Z06", "ring:Z007",
+                    "ring:Z02xZ3"):
             with pytest.raises(H.UnknownFixtureError):
                 H.fixture(bad)
+        # a leading zero is not a ring size, so Z0 is no name at all
+        with pytest.raises(H.UnknownFixtureError, match="unknown fixture"):
+            H.fixture("ring:Z0")
 
     def test_fixture_cache(self):
         # no cache: each call builds an equal fixture of its own

@@ -1,6 +1,7 @@
 """Statement suite: instance generation, statuses, and report rendering."""
 
 import functools
+import inspect
 import json
 
 import pytest
@@ -148,9 +149,9 @@ class TestVerdictMemo:
     def test_reports_equal_a_run_without_the_memo(self, monkeypatch):
         memoised = H.run_suite(["ring:Z2xZ4"])
 
-        def undecided(ctx, predicate, q, s=None, lattice=None, budget=None):
+        def undecided(ctx, predicate, q, s=None, lattice=None):
             args = (q,) if s is None else (q, s)
-            args += () if lattice is None else (lattice, budget)
+            args += () if lattice is None else (lattice, ctx.budget)
             return predicate(ctx.structure, *args)
 
         monkeypatch.setattr(harness, "_verdict", undecided)
@@ -169,18 +170,28 @@ class TestVerdictMemo:
         assert harness._verdict(ctx, harness.is_weakly_s_prime, q, s) is first
         assert asked.count((q.mask, s.mask)) == 1
 
-    def test_the_ideal_level_key_holds_the_budget(self, monkeypatch):
+    def test_the_ideal_level_question_reads_the_context_budget(self, monkeypatch):
         asked = counting(monkeypatch, "is_strongly_weakly_s_prime")
+        tight = H.build_context("ring:Z12", budget=1)
+        q, s = tight.lattice[0], tight.mult_sets[0]
+        for _ in range(2):
+            with pytest.raises(H.CapacityError):
+                harness._verdict(tight, harness.is_strongly_weakly_s_prime, q, s,
+                                 tight.lattice)
+        assert len(asked) == 2 and not tight.verdicts
         ctx = H.build_context("ring:Z12")
-        q, s = ctx.lattice[0], ctx.mult_sets[0]
         verdict = harness._verdict(ctx, harness.is_strongly_weakly_s_prime, q, s,
                                    ctx.lattice)
-        with pytest.raises(H.CapacityError):
-            harness._verdict(ctx, harness.is_strongly_weakly_s_prime, q, s,
-                             ctx.lattice, 1)
         assert harness._verdict(ctx, harness.is_strongly_weakly_s_prime, q, s,
                                 ctx.lattice) is verdict
-        assert len(asked) == 2
+        assert len(asked) == 3 and len(ctx.verdicts) == 1
+
+    def test_the_embedding_statement_asks_through_the_memo(self, monkeypatch):
+        # the identity map's preimage question is its target question
+        asked = counting(monkeypatch, "is_weakly_s_prime")
+        reports = H.run_suite(["ring:Z6"], property_ids=("P15",))
+        assert len(reports) > 1 and asked
+        assert len(asked) == len(set(asked))
 
     def test_raising_calls_are_not_memoised(self, monkeypatch):
         asked = counting(monkeypatch, "is_s_prime")
@@ -190,6 +201,22 @@ class TestVerdictMemo:
             with pytest.raises(H.DisjointnessViolated):
                 harness._verdict(ctx, harness.is_s_prime, q, s)
         assert len(asked) == 2 and not ctx.verdicts
+
+
+def test_evaluators_take_exactly_their_payload():
+    # P7 and P9 share an evaluator whose S is optional: every parameter is
+    # filled by some payload, and no payload holds what its evaluator lacks
+    corpus = H.build_corpus(["ring:Z6", "ring:Z4xZ3"])
+    filled = {}
+    for pid, (_, evaluate) in harness.STATEMENTS.items():
+        params = set(inspect.signature(evaluate).parameters)
+        instances = H.generate_instances(pid, corpus)
+        assert instances, pid
+        for inst in instances:
+            assert set(inst.payload) <= params, pid
+            filled.setdefault(evaluate, set()).update(inst.payload)
+    for evaluate, keys in filled.items():
+        assert keys == set(inspect.signature(evaluate).parameters), evaluate.__name__
 
 
 class TestSearch:

@@ -311,11 +311,11 @@ def oracle_colon_route(a, q, s):
                           "satisfies neither colon alternative")
 
 
-def oracle_eval_p6(ctx, q, s, budget=None):
+def oracle_eval_p6(ctx, q, s):
     a = ctx.structure
     zero_mask = 1 << a.zero
     associated = [cand for cand in s
-                  if H.strongly_associated(a, q, cand, ctx.lattice, budget)]
+                  if H.strongly_associated(a, q, cand, ctx.lattice, ctx.budget)]
     if not associated:
         return "SKIPPED", "no s in S passes the ideal-wise zero test", None
     checked = 0
@@ -343,9 +343,9 @@ def oracle_eval_p6(ctx, q, s, budget=None):
     return "VERIFIED", "", {"tuples_checked": checked}
 
 
-def oracle_eval_p10(ctx, q, s, budget=None):
+def oracle_eval_p10(ctx, q, s):
     a = ctx.structure
-    direct = H.is_strongly_weakly_s_prime(a, q, s, ctx.lattice, budget)
+    direct = H.is_strongly_weakly_s_prime(a, q, s, ctx.lattice, ctx.budget)
     via_colon = oracle_colon_route(a, q, s)
     cert = {"direct": bool(direct.holds), "colon": bool(via_colon.holds)}
     if bool(direct.holds) == bool(via_colon.holds):

@@ -148,10 +148,6 @@ class TestMultiplicativeSets:
         assert verdict.holds is False
         assert verdict.counterexample == (2, 2)
 
-    def test_include_zero_flag(self, z4):
-        with_zero = H.multiplicative_subsets(z4, 2, include_zero=True)
-        assert any(0 in s for s in with_zero)
-
 
 def naive_s_flavour(a, q, s, weakly):
     """Direct restatement over ordered tuples, independent padding logic."""
