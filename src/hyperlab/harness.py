@@ -72,12 +72,6 @@ from .ideals import (
 )
 from .predicates import (
     evaluate_predicate,
-    is_hyperintegral_domain,
-    is_prime,
-    is_s_prime,
-    is_strongly_weakly_s_prime,
-    is_strongly_weakly_s_prime_colon,
-    is_weakly_prime,
     is_weakly_s_prime,
     multiplicative_subsets,
     strongly_associated,
@@ -122,8 +116,9 @@ class Instance:
 class StructureContext:
     """A fixture prepared for the suite: validity scan, lattice, mult sets,
     for a product fixture the contexts of its two factors, the run's
-    ideal-scan budget (None means the predicates' default) and the memo of
-    the predicate verdicts decided on it so far (see ``_verdict``)."""
+    ideal-scan budget (None means the predicates' default), the memo of the
+    predicate verdicts decided on it so far (see ``_verdict``) and the
+    subsets rendered so far, by mask (see ``_render``)."""
 
     fixture: Fixture
     violations: tuple
@@ -133,6 +128,7 @@ class StructureContext:
     factors: tuple[StructureContext, StructureContext] | None = None
     budget: int | None = None
     verdicts: dict = field(default_factory=dict, repr=False, compare=False)
+    rendered: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def name(self) -> str:
@@ -184,31 +180,39 @@ def build_corpus(names, budget: int | None = None) -> list[StructureContext]:
     return [build_context(name, budget) for name in names]
 
 
-def _render(a: HyperStructure, subset: ElementSet) -> str:
-    return subset.render(a.names)
+def _render(ctx: StructureContext, subset: ElementSet) -> str:
+    """``subset`` in the context structure's element names, rendered once."""
+    text = ctx.rendered.get(subset.mask)
+    if text is None:
+        text = ctx.rendered[subset.mask] = subset.render(ctx.structure.names)
+    return text
 
 
-def _verdict(ctx: StructureContext, predicate, q: ElementSet,
-             s: ElementSet | None = None, lattice: IdealLattice | None = None) -> Verdict:
-    """``predicate(ctx.structure, q[, s][, lattice, ctx.budget])``, decided
-    once per context.
+def _verdict(ctx: StructureContext, name: str, q: ElementSet,
+             s: ElementSet | None = None) -> Verdict:
+    """``evaluate_predicate(name, ...)`` on the context's structure, lattice
+    and budget, decided once per context.
 
-    Callers pass the predicate by its name in this module, so a wrapper
-    bound over that name (a tracer, a test) sees every question the memo
-    has not answered yet.  The key is the predicate's name, Q and S.  A call
-    that raises is not memoised.
+    ``name`` is a ``predicates.PREDICATES`` key, and the memo key is that
+    name, Q and S.  The registry looks each predicate up by its module
+    name at call time, so a wrapper bound over that name (a tracer, a test)
+    sees every question the memo has not answered yet.  A call that raises
+    is not memoised.
 
-    Asked directly instead: P4's integral-domain test (no Q), P6's
-    per-element ``strongly_associated``, and P16's restriction and P18's
-    triple (no context).
+    Three questions are asked directly instead:
+
+    * P6's ``strongly_associated``, which asks about one element s and is
+      no registry predicate.  Asked as strongly weakly {s}-prime, a Q that
+      meets S would raise ``DisjointnessViolated`` where P6 now raises
+      ``IdentityRequired`` (paper-2-4 has no identity);
+    * P16's restriction and P18's triple, which are structures built for
+      one instance, with no context.
     """
-    key = (predicate.__name__, q.mask, None if s is None else s.mask)
+    key = (name, q.mask, None if s is None else s.mask)
     verdict = ctx.verdicts.get(key)
     if verdict is None:
-        args = (q,) if s is None else (q, s)
-        if lattice is not None:
-            args += (lattice, ctx.budget)
-        verdict = ctx.verdicts[key] = predicate(ctx.structure, *args)
+        verdict = ctx.verdicts[key] = evaluate_predicate(
+            name, ctx.structure, q, s, ctx.lattice, ctx.budget)
     return verdict
 
 
@@ -256,9 +260,8 @@ def _zero_radical(ctx: StructureContext) -> ElementSet:
 def _gen_qs(corpus):
     """Every disjoint (Q, S) pair of every usable structure."""
     for ctx in _usable(corpus):
-        a = ctx.structure
         for q, s in _qs_pairs(ctx):
-            yield (f"{ctx.name}: Q={_render(a, q)} S={_render(a, s)}",
+            yield (f"{ctx.name}: Q={_render(ctx, q)} S={_render(ctx, s)}",
                    dict(ctx=ctx, q=q, s=s))
 
 
@@ -271,7 +274,7 @@ def _gen_q_without_one(corpus):
         for q in ctx.lattice.proper():
             if a.one in q:
                 continue
-            yield f"{ctx.name}: Q={_render(a, q)}", dict(ctx=ctx, q=q)
+            yield f"{ctx.name}: Q={_render(ctx, q)}", dict(ctx=ctx, q=q)
 
 
 def _strongly_weakly_only(ctx, q, s, reasons) -> str:
@@ -283,9 +286,9 @@ def _strongly_weakly_only(ctx, q, s, reasons) -> str:
     unit = s is None
     if unit:
         s = ElementSet.single(a.one, a.size)
-    if not _verdict(ctx, is_strongly_weakly_s_prime, q, s, ctx.lattice).holds:
+    if not _verdict(ctx, "strongly-weakly-s-prime", q, s).holds:
         return reasons[0]
-    if (_verdict(ctx, is_prime, q) if unit else _verdict(ctx, is_s_prime, q, s)).holds:
+    if (_verdict(ctx, "prime", q) if unit else _verdict(ctx, "s-prime", q, s)).holds:
         return reasons[1]
     return ""
 
@@ -304,39 +307,37 @@ def _gen_p1(corpus):
         for q, s in _qs_pairs(ctx):
             meeting = [i for i, p in enumerate(ctx.lattice.sets) if p & s]
             for js in combinations_with_replacement(meeting, a.n - 1):
-                desc = (f"{ctx.name}: Q={_render(a, q)} S={_render(a, s)} "
-                        f"ideals={[_render(a, ctx.lattice[j]) for j in js]}")
+                desc = (f"{ctx.name}: Q={_render(ctx, q)} S={_render(ctx, s)} "
+                        f"ideals={[_render(ctx, ctx.lattice[j]) for j in js]}")
                 yield desc, dict(ctx=ctx, q=q, s=s, js=js)
 
 
 def _eval_p1(ctx, q, s, js):
     a = ctx.structure
-    if not _verdict(ctx, is_weakly_s_prime, q, s).holds:
+    if not _verdict(ctx, "weakly-s-prime", q, s).holds:
         return SKIPPED, "Q is not weakly S-prime", None
     image = a.eval_g_on_sets([ctx.lattice[j] for j in js] + [q])
-    ok = _bool_by_convention(_verdict, ctx, is_weakly_s_prime, image, s)
-    cert = {"image": _render(a, image)}
+    ok = _bool_by_convention(_verdict, ctx, "weakly-s-prime", image, s)
+    cert = {"image": _render(ctx, image)}
     return _outcome(ok, "product set lost weak S-primeness", cert)
 
 
 def _gen_p2(corpus):
     for ctx in _usable(corpus):
-        a = ctx.structure
         for q, s in _qs_pairs(ctx):
             for p in ctx.lattice.sets:
                 if p & s:
-                    desc = (f"{ctx.name}: Q={_render(a, q)} S={_render(a, s)} "
-                            f"P={_render(a, p)}")
+                    desc = (f"{ctx.name}: Q={_render(ctx, q)} S={_render(ctx, s)} "
+                            f"P={_render(ctx, p)}")
                     yield desc, dict(ctx=ctx, q=q, s=s, p=p)
 
 
 def _eval_p2(ctx, q, s, p):
-    a = ctx.structure
-    if not _verdict(ctx, is_weakly_s_prime, q, s).holds:
+    if not _verdict(ctx, "weakly-s-prime", q, s).holds:
         return SKIPPED, "Q is not weakly S-prime", None
     meet = q & p
-    ok = _bool_by_convention(_verdict, ctx, is_weakly_s_prime, meet, s)
-    cert = {"intersection": _render(a, meet)}
+    ok = _bool_by_convention(_verdict, ctx, "weakly-s-prime", meet, s)
+    cert = {"intersection": _render(ctx, meet)}
     return _outcome(ok, "intersection lost weak S-primeness", cert)
 
 
@@ -347,14 +348,14 @@ def _eval_p3(ctx, q, s):
         quotient = colon(a, q, cand)
         if quotient.mask == a.full_set().mask:
             continue
-        if _verdict(ctx, is_weakly_prime, quotient).holds:
+        if _verdict(ctx, "weakly-prime", quotient).holds:
             chosen = cand
             break
     if chosen is None:
         return SKIPPED, "no s in S with a weakly prime colon ideal", None
-    verdict = _verdict(ctx, is_weakly_s_prime, q, s)
+    verdict = _verdict(ctx, "weakly-s-prime", q, s)
     cert = {"s": a.names[chosen],
-            "colon": _render(a, colon(a, q, chosen))}
+            "colon": _render(ctx, colon(a, q, chosen))}
     if verdict.holds:
         return VERIFIED, "", cert
     cert["counterexample"] = verdict.render(a.names)
@@ -364,27 +365,27 @@ def _eval_p3(ctx, q, s):
 def _gen_p4(corpus):
     for ctx in _usable(corpus):
         for s in ctx.mult_sets:
-            yield f"{ctx.name}: S={_render(ctx.structure, s)}", dict(ctx=ctx, s=s)
+            yield f"{ctx.name}: S={_render(ctx, s)}", dict(ctx=ctx, s=s)
 
 
 def _eval_p4(ctx, s):
-    a = ctx.structure
     disjoint = [q for q in ctx.lattice.proper() if not (q & s)]
 
-    def collapses(predicate) -> bool:
+    def collapses(name) -> bool:
         # every Q with the S-property is prime
-        return all(_verdict(ctx, is_prime, q).holds for q in disjoint
-                   if _verdict(ctx, predicate, q, s).holds)
+        return all(_verdict(ctx, "prime", q).holds for q in disjoint
+                   if _verdict(ctx, name, q, s).holds)
 
-    lhs = collapses(is_weakly_s_prime)
-    rhs = is_hyperintegral_domain(a).holds and collapses(is_s_prime)
+    lhs = collapses("weakly-s-prime")
+    # A is a hyperintegral domain exactly when {0} is prime
+    rhs = (_verdict(ctx, "prime", ctx.structure.zero_set()).holds
+           and collapses("s-prime"))
     cert = {"collapse": lhs, "domain_and_collapse": rhs}
     return _outcome(lhs == rhs, "equivalence fails for this (A, S)", cert)
 
 
 def _gen_p5(corpus):
     for ctx in _usable(corpus):
-        a = ctx.structure
         for s in ctx.mult_sets:
             for t in ctx.mult_sets:
                 if not (s <= t):
@@ -392,8 +393,8 @@ def _gen_p5(corpus):
                 for q in ctx.lattice.proper():
                     if q & t:
                         continue
-                    desc = (f"{ctx.name}: S={_render(a, s)} T={_render(a, t)} "
-                            f"Q={_render(a, q)}")
+                    desc = (f"{ctx.name}: S={_render(ctx, s)} T={_render(ctx, t)} "
+                            f"Q={_render(ctx, q)}")
                     yield desc, dict(ctx=ctx, s=s, t=t, q=q)
 
 
@@ -409,9 +410,9 @@ def _eval_p5(ctx, s, t, q):
     a = ctx.structure
     if not _transfer_condition(a, s, t):
         return SKIPPED, "power-partner condition between S and T fails", None
-    if not _verdict(ctx, is_weakly_s_prime, q, t).holds:
+    if not _verdict(ctx, "weakly-s-prime", q, t).holds:
         return SKIPPED, "Q is not weakly T-prime", None
-    verdict = _verdict(ctx, is_weakly_s_prime, q, s)
+    verdict = _verdict(ctx, "weakly-s-prime", q, s)
     if verdict.holds:
         return VERIFIED, "", None
     return COUNTEREXAMPLE, "weak T-primeness did not shrink to S", {
@@ -448,7 +449,7 @@ def _eval_p6(ctx, q, s):
                         cert = {"s": a.names[cand],
                                 "tuple": [a.names[x] for x in ms],
                                 "kept": [a.names[x] for x in kept],
-                                "image": _render(a, image)}
+                                "image": _render(ctx, image)}
                         return (COUNTEREXAMPLE,
                                 "a Q-padded product escaped zero", cert)
     if checked == 0:
@@ -464,29 +465,29 @@ def _eval_power_zero(ctx, q, s=None):
         return SKIPPED, gap, None
     a = ctx.structure
     image = set_product(a, [q] * a.n)
-    cert = {"power_image": _render(a, image)}
+    cert = {"power_image": _render(ctx, image)}
     return _outcome(image.mask == 1 << a.zero, "n-th power of Q is not zero", cert)
 
 
 def _eval_p8(ctx, q, s):
     a = ctx.structure
-    if not _verdict(ctx, is_strongly_weakly_s_prime, q, s, ctx.lattice).holds:
+    if not _verdict(ctx, "strongly-weakly-s-prime", q, s).holds:
         return SKIPPED, "Q is not strongly weakly S-prime", None
     rad0 = _zero_radical(ctx)
     if q <= rad0:
         return VERIFIED, "", {"branch": "Q inside rad(0)",
-                              "rad0": _render(a, rad0)}
+                              "rad0": _render(ctx, rad0)}
     for cand in s:
         if scaled_set(a, cand, rad0) <= q:
             return VERIFIED, "", {"branch": f"s*rad(0) inside Q at s={a.names[cand]}",
-                                  "rad0": _render(a, rad0)}
+                                  "rad0": _render(ctx, rad0)}
     return COUNTEREXAMPLE, "neither containment holds", {
-        "rad0": _render(a, rad0)}
+        "rad0": _render(ctx, rad0)}
 
 
 def _eval_p10(ctx, q, s):
-    direct = _verdict(ctx, is_strongly_weakly_s_prime, q, s, ctx.lattice)
-    via_colon = _verdict(ctx, is_strongly_weakly_s_prime_colon, q, s)
+    direct = _verdict(ctx, "strongly-weakly-s-prime", q, s)
+    via_colon = _verdict(ctx, "strongly-weakly-s-prime-colon", q, s)
     cert = {"direct": bool(direct.holds), "colon": bool(via_colon.holds)}
     return _outcome(bool(direct.holds) == bool(via_colon.holds),
                     "direct and colon routes disagree", cert)
@@ -495,8 +496,7 @@ def _eval_p10(ctx, q, s):
 def _eval_p11(ctx, q):
     a = ctx.structure
     unit = ElementSet.single(a.one, a.size)
-    direct = bool(_verdict(ctx, is_strongly_weakly_s_prime, q, unit,
-                           ctx.lattice).holds)
+    direct = bool(_verdict(ctx, "strongly-weakly-s-prime", q, unit).holds)
     by_equality = True
     by_inclusion = True
     for x in range(a.size):
@@ -528,22 +528,21 @@ def _eval_p12(ctx, q, s):
             [scaled_set(a, cand, rad0)] + [q] * (a.n - 1))
         if image.mask == zero_mask:
             return VERIFIED, "", {"s": a.names[cand],
-                                  "rad0": _render(a, rad0)}
+                                  "rad0": _render(ctx, rad0)}
     return COUNTEREXAMPLE, "no s sends s*rad(0)*Q^(n-1) to zero", {
-        "rad0": _render(a, rad0)}
+        "rad0": _render(ctx, rad0)}
 
 
 def _gen_p13(corpus):
     for ctx in _usable(corpus):
-        a = ctx.structure
         proper = list(ctx.lattice.proper())
         for i, q1 in enumerate(proper):
             for q2 in proper[i:]:
                 for s in ctx.mult_sets:
                     if (q1 & s) or (q2 & s):
                         continue
-                    desc = (f"{ctx.name}: Q1={_render(a, q1)} "
-                            f"Q2={_render(a, q2)} S={_render(a, s)}")
+                    desc = (f"{ctx.name}: Q1={_render(ctx, q1)} "
+                            f"Q2={_render(ctx, q2)} S={_render(ctx, s)}")
                     yield desc, dict(ctx=ctx, q1=q1, q2=q2, s=s)
 
 
@@ -573,7 +572,7 @@ def _eval_p14(ctx, q):
     a = ctx.structure
     rad0 = _zero_radical(ctx)
     image = a.eval_g_on_sets([rad0] + [q] * (a.n - 1))
-    cert = {"rad0": _render(a, rad0), "image": _render(a, image)}
+    cert = {"rad0": _render(ctx, rad0), "image": _render(ctx, image)}
     return _outcome(image.mask == 1 << a.zero, "rad(0)*Q^(n-1) is not zero", cert)
 
 
@@ -596,15 +595,13 @@ def _corpus_homomorphisms(corpus):
 
 def _gen_p15(corpus):
     for label, hom, src, tgt in _corpus_homomorphisms(corpus):
-        a1, a2 = hom.source, hom.target
         embedding = hom.is_homomorphism() and hom.is_injective()
         for s in src.mult_sets:
             hs = hom.map_set(s)
             for q2 in tgt.lattice.proper():
                 if q2 & hs:
                     continue
-                desc = (f"{label}: S={_render(a1, s)} "
-                        f"Q2={_render(a2, q2)}")
+                desc = f"{label}: S={_render(src, s)} Q2={_render(tgt, q2)}"
                 yield desc, dict(src=src, tgt=tgt, hom=hom,
                                  embedding=embedding, s=s, q2=q2)
 
@@ -612,11 +609,11 @@ def _gen_p15(corpus):
 def _eval_p15(src, tgt, hom, embedding, s, q2):
     if not embedding:
         return SKIPPED, "map is not an embedding", None
-    if not _verdict(tgt, is_weakly_s_prime, q2, hom.map_set(s)).holds:
+    if not _verdict(tgt, "weakly-s-prime", q2, hom.map_set(s)).holds:
         return SKIPPED, "target ideal is not weakly h(S)-prime", None
     pre = preimage_ideal(hom, q2)
-    ok = _bool_by_convention(_verdict, src, is_weakly_s_prime, pre, s)
-    cert = {"preimage": _render(hom.source, pre)}
+    ok = _bool_by_convention(_verdict, src, "weakly-s-prime", pre, s)
+    cert = {"preimage": _render(src, pre)}
     return _outcome(ok, "preimage lost weak S-primeness", cert)
 
 
@@ -627,21 +624,21 @@ def _gen_p16(corpus):
         for c in ctx.lattice.proper():
             if c.mask == zero_mask:
                 continue
-            sub = substructure(a, c, label=f"{ctx.name}[{_render(a, c)}]")
+            sub = substructure(a, c, label=f"{ctx.name}[{_render(ctx, c)}]")
             incl = inclusion(sub, a)
             for s_sub in multiplicative_subsets(sub, MULT_SIZE_CAP):
                 s_par = incl.map_set(s_sub)
                 for q2 in ctx.lattice.proper():
                     if q2 & s_par:
                         continue
-                    desc = (f"{ctx.name}: C={_render(a, c)} "
-                            f"S={s_sub.render(sub.names)} Q={_render(a, q2)}")
+                    desc = (f"{ctx.name}: C={_render(ctx, c)} "
+                            f"S={s_sub.render(sub.names)} Q={_render(ctx, q2)}")
                     yield desc, dict(ctx=ctx, sub=sub, incl=incl,
                                      s_sub=s_sub, s_par=s_par, q2=q2)
 
 
 def _eval_p16(ctx, sub, incl, s_sub, s_par, q2):
-    if not _verdict(ctx, is_weakly_s_prime, q2, s_par).holds:
+    if not _verdict(ctx, "weakly-s-prime", q2, s_par).holds:
         return SKIPPED, "ideal is not weakly S-prime in the big structure", None
     meet = preimage_ideal(incl, q2)
     ok = _bool_by_convention(is_weakly_s_prime, sub, meet, s_sub)
@@ -658,14 +655,13 @@ def _usable_products(corpus):
 
 def _gen_p17(corpus):
     for ctx, f1, f2 in _usable_products(corpus):
-        a1, a2 = f1.structure, f2.structure
         for q1 in _nonzero_ideals(f1.lattice):
             for q2 in _nonzero_ideals(f2.lattice):
                 for s1 in f1.mult_sets:
                     for s2 in f2.mult_sets:
-                        desc = (f"{ctx.name}: Q1={_render(a1, q1)} "
-                                f"S1={_render(a1, s1)} Q2={_render(a2, q2)} "
-                                f"S2={_render(a2, s2)}")
+                        desc = (f"{ctx.name}: Q1={_render(f1, q1)} "
+                                f"S1={_render(f1, s1)} Q2={_render(f2, q2)} "
+                                f"S2={_render(f2, s2)}")
                         yield desc, dict(ctx=ctx, q1=q1, q2=q2, s1=s1, s2=s2)
 
 
@@ -674,11 +670,11 @@ def _eval_p17(ctx, q1, q2, s1, s2):
     a1, a2 = f1.structure, f2.structure
     big_q = product_ideal(a1, a2, q1, q2)
     big_s = product_ideal(a1, a2, s1, s2)
-    weakly = _bool_by_convention(_verdict, ctx, is_weakly_s_prime, big_q, big_s)
-    plain = _bool_by_convention(_verdict, ctx, is_s_prime, big_q, big_s)
-    left = (_bool_by_convention(_verdict, f1, is_s_prime, q1, s1)
+    weakly = _bool_by_convention(_verdict, ctx, "weakly-s-prime", big_q, big_s)
+    plain = _bool_by_convention(_verdict, ctx, "s-prime", big_q, big_s)
+    left = (_bool_by_convention(_verdict, f1, "s-prime", q1, s1)
             and bool(q2 & s2))
-    right = (_bool_by_convention(_verdict, f2, is_s_prime, q2, s2)
+    right = (_bool_by_convention(_verdict, f2, "s-prime", q2, s2)
              and bool(q1 & s1))
     split = left or right
     cert = {"weakly": weakly, "split": split, "plain": plain}
@@ -688,7 +684,6 @@ def _eval_p17(ctx, q1, q2, s1, s2):
 
 def _gen_p18(corpus):
     for ctx, f1, f2 in _usable_products(corpus):
-        a1, a2 = f1.structure, f2.structure
         factors = (f1, f2, f1)
         ideal_choices = [_nonzero_ideals(fc.lattice) for fc in factors]
         for q1 in ideal_choices[0]:
@@ -698,10 +693,10 @@ def _gen_p18(corpus):
                         for s2 in f2.mult_sets:
                             for s3 in f1.mult_sets:
                                 desc = (f"{ctx.name} (3 factors): "
-                                        f"Q=({_render(a1, q1)},{_render(a2, q2)},"
-                                        f"{_render(a1, q3)}) "
-                                        f"S=({_render(a1, s1)},{_render(a2, s2)},"
-                                        f"{_render(a1, s3)})")
+                                        f"Q=({_render(f1, q1)},{_render(f2, q2)},"
+                                        f"{_render(f1, q3)}) "
+                                        f"S=({_render(f1, s1)},{_render(f2, s2)},"
+                                        f"{_render(f1, s3)})")
                                 yield desc, dict(ctx=ctx, qs=(q1, q2, q3),
                                                  ss=(s1, s2, s3))
 
@@ -720,7 +715,7 @@ def _eval_p18(ctx, qs, ss):
     factors = ((f1, q1, s1), (f2, q2, s2), (f1, q3, s3))
     rhs = False
     for i, (fi, qi, si) in enumerate(factors):
-        if not _bool_by_convention(_verdict, fi, is_s_prime, qi, si):
+        if not _bool_by_convention(_verdict, fi, "s-prime", qi, si):
             continue
         if all(bool(qj & sj) for j, (_, qj, sj) in enumerate(factors) if j != i):
             rhs = True
@@ -739,12 +734,11 @@ def _field_like(ctx) -> bool:
 
 def _gen_p19(corpus):
     for ctx, f1, f2 in _usable_products(corpus):
-        a1, a2 = f1.structure, f2.structure
         for s1 in f1.mult_sets:
             for s2 in f2.mult_sets:
                 for p in ctx.lattice.proper():
-                    desc = (f"{ctx.name}: S1={_render(a1, s1)} "
-                            f"S2={_render(a2, s2)} P={_render(ctx.structure, p)}")
+                    desc = (f"{ctx.name}: S1={_render(f1, s1)} "
+                            f"S2={_render(f2, s2)} P={_render(ctx, p)}")
                     yield desc, dict(ctx=ctx, s1=s1, s2=s2, p=p)
 
 
@@ -756,7 +750,7 @@ def _eval_p19(ctx, s1, s2, p):
     big_s = product_ideal(f1.structure, f2.structure, s1, s2)
     if p & big_s:
         return SKIPPED, "ideal meets S1 x S2", None
-    verdict = _verdict(ctx, is_weakly_s_prime, p, big_s)
+    verdict = _verdict(ctx, "weakly-s-prime", p, big_s)
     if verdict.holds:
         return VERIFIED, "", None
     return COUNTEREXAMPLE, "proper ideal is not weakly S-prime", {
@@ -851,18 +845,16 @@ def search_separating_instances(corpus_names, holds: str, fails: str,
     """All (structure, Q, S) where `holds` is true and `fails` is false."""
     found = []
     for ctx in _usable(build_corpus(corpus_names, budget)):
-        a = ctx.structure
         for q, s in _qs_pairs(ctx):
             try:
-                pos, neg = (evaluate_predicate(pred, a, q, s, ctx.lattice, budget=ctx.budget)
-                            for pred in (holds, fails))
+                pos, neg = (_verdict(ctx, name, q, s) for name in (holds, fails))
             except (IdentityRequired, CapacityError, NotProper,
                     DisjointnessViolated):
                 continue
             if pos.holds is True and neg.holds is False:
                 found.append({"structure": ctx.name,
-                              "q": _render(a, q),
-                              "s": _render(a, s)})
+                              "q": _render(ctx, q),
+                              "s": _render(ctx, s)})
     return found
 
 

@@ -30,7 +30,9 @@ every P_s at once when one exists; otherwise the verdict explains that
 each s fails on its own multiset.  Colons are ``ideals.colon_mask``.
 
 ``PREDICATES`` is the one registry of named predicates: ``classify``,
-``evaluate_predicate``, ``CLASSIFY_KEYS`` and the CLI choices all read it.
+``evaluate_predicate``, ``CLASSIFY_KEYS``, the CLI choices and the suite's
+verdict memo (``harness._verdict``, behind every statement and ``search``)
+all read it.
 """
 
 from __future__ import annotations

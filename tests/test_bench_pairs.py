@@ -1,10 +1,11 @@
 """tools/bench_pairs.py checks its --workload specs before any run starts,
 keeps every run's round count, alternates the side traced first and gives
-each metric a verdict, and shows progress by the first metric of
-BENCHMARK.json."""
+each metric a verdict, shows progress by the first metric of
+BENCHMARK.json, and names the stderr of a run that fails."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -149,3 +150,17 @@ def test_progress_shows_the_first_named_metric(tmp_path, monkeypatch, capsys):
     assert "ideals seed=1 parent: metric=1 " in capsys.readouterr().err
     summary = json.loads(out.read_text())["workloads"]["ideals"]["metrics"]["metric"]
     assert summary["values"] == {"parent": [1.0, 1.0], "change": [2.0, 2.0]}
+
+
+def test_a_failed_run_raises_with_the_tail_of_its_stderr(tmp_path, monkeypatch):
+    stderr = "x" * 3000 + "error: theorems answer differs from the reference\n"
+
+    def failing_run(command, **kwargs):
+        return subprocess.CompletedProcess(command, 1, stdout="", stderr=stderr)
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", failing_run)
+    with pytest.raises(RuntimeError) as exc:
+        bench_pairs.run(tmp_path, "theorems", 3, 1.0, 0)
+    message = str(exc.value)
+    assert "exited 1" in message and "--seed 3" in message
+    assert message.endswith(stderr[-2000:]) and stderr[-2001:] not in message

@@ -8,6 +8,7 @@ import pytest
 
 import hyperlab as H
 import hyperlab.harness as harness
+import hyperlab.predicates as predicates
 
 from conftest import mutated
 
@@ -132,8 +133,11 @@ class TestStatusEdges:
 
 
 def counting(monkeypatch, name):
-    """Rebind harness.<name> to a wrapper that records each call's (Q, S)."""
-    original = getattr(harness, name)
+    """Rebind predicates.<name> to a wrapper that records each call's (Q, S).
+
+    The ``PREDICATES`` registry looks the function up there at call time,
+    so the wrapper sees every question ``_verdict`` asks."""
+    original = getattr(predicates, name)
     asked = []
 
     @functools.wraps(original)
@@ -141,7 +145,7 @@ def counting(monkeypatch, name):
         asked.append((q.mask, s and s.mask))
         return original(a, q, *(() if s is None else (s,)), *rest)
 
-    monkeypatch.setattr(harness, name, wrapper)
+    monkeypatch.setattr(predicates, name, wrapper)
     return asked
 
 
@@ -149,10 +153,9 @@ class TestVerdictMemo:
     def test_reports_equal_a_run_without_the_memo(self, monkeypatch):
         memoised = H.run_suite(["ring:Z2xZ4"])
 
-        def undecided(ctx, predicate, q, s=None, lattice=None):
-            args = (q,) if s is None else (q, s)
-            args += () if lattice is None else (lattice, ctx.budget)
-            return predicate(ctx.structure, *args)
+        def undecided(ctx, name, q, s=None):
+            return H.evaluate_predicate(name, ctx.structure, q, s, ctx.lattice,
+                                        ctx.budget)
 
         monkeypatch.setattr(harness, "_verdict", undecided)
         assert H.run_suite(["ring:Z2xZ4"]) == memoised
@@ -166,8 +169,8 @@ class TestVerdictMemo:
         # every P2 instance asks about its (Q, S) and about Q meet P
         assert len(asked) == len(set(asked)) < 2 * len(instances)
         ctx, q, s = corpus[0], instances[0].payload["q"], instances[0].payload["s"]
-        first = harness._verdict(ctx, harness.is_weakly_s_prime, q, s)
-        assert harness._verdict(ctx, harness.is_weakly_s_prime, q, s) is first
+        first = harness._verdict(ctx, "weakly-s-prime", q, s)
+        assert harness._verdict(ctx, "weakly-s-prime", q, s) is first
         assert asked.count((q.mask, s.mask)) == 1
 
     def test_the_ideal_level_question_reads_the_context_budget(self, monkeypatch):
@@ -176,14 +179,11 @@ class TestVerdictMemo:
         q, s = tight.lattice[0], tight.mult_sets[0]
         for _ in range(2):
             with pytest.raises(H.CapacityError):
-                harness._verdict(tight, harness.is_strongly_weakly_s_prime, q, s,
-                                 tight.lattice)
+                harness._verdict(tight, "strongly-weakly-s-prime", q, s)
         assert len(asked) == 2 and not tight.verdicts
         ctx = H.build_context("ring:Z12")
-        verdict = harness._verdict(ctx, harness.is_strongly_weakly_s_prime, q, s,
-                                   ctx.lattice)
-        assert harness._verdict(ctx, harness.is_strongly_weakly_s_prime, q, s,
-                                ctx.lattice) is verdict
+        verdict = harness._verdict(ctx, "strongly-weakly-s-prime", q, s)
+        assert harness._verdict(ctx, "strongly-weakly-s-prime", q, s) is verdict
         assert len(asked) == 3 and len(ctx.verdicts) == 1
 
     def test_the_embedding_statement_asks_through_the_memo(self, monkeypatch):
@@ -199,8 +199,13 @@ class TestVerdictMemo:
         q, s = ctx.structure.subset([0, 3]), ctx.structure.subset([3])
         for _ in range(2):
             with pytest.raises(H.DisjointnessViolated):
-                harness._verdict(ctx, harness.is_s_prime, q, s)
+                harness._verdict(ctx, "s-prime", q, s)
         assert len(asked) == 2 and not ctx.verdicts
+
+    def test_the_harness_asks_registry_predicates_only_through_it(self):
+        # P16 and P18 ask is_weakly_s_prime on structures with no context
+        named = {n for f in predicates.PREDICATES.values() for n in f.__code__.co_names}
+        assert named & set(vars(harness)) <= {"is_weakly_s_prime"}
 
 
 def test_evaluators_take_exactly_their_payload():
@@ -219,7 +224,39 @@ def test_evaluators_take_exactly_their_payload():
         assert keys == set(inspect.signature(evaluate).parameters), evaluate.__name__
 
 
+SEARCH_CORPUS = ("ring:Z4", "ring:Z6", "ring:Z12", "ring:Z2xZ4", "paper-2-4")
+
+
+def search_oracle(corpus, holds, fails):
+    """Separating (Q, S) pairs, each predicate asked directly."""
+    found = []
+    for ctx in corpus:
+        if not ctx.usable:
+            continue
+        a = ctx.structure
+        for q, s in harness._qs_pairs(ctx):
+            try:
+                pos, neg = (H.evaluate_predicate(name, a, q, s, ctx.lattice, ctx.budget)
+                            for name in (holds, fails))
+            except (H.IdentityRequired, H.CapacityError, H.NotProper,
+                    H.DisjointnessViolated):
+                continue
+            if pos.holds is True and neg.holds is False:
+                found.append({"structure": ctx.name, "q": q.render(a.names),
+                              "s": s.render(a.names)})
+    return found
+
+
 class TestSearch:
+    def test_search_equals_its_oracle_on_every_pair(self):
+        corpus = H.build_corpus(SEARCH_CORPUS)
+        pairs = [(h, f) for h in H.CLASSIFY_KEYS for f in H.CLASSIFY_KEYS if h != f]
+        searched = {pair: H.search_separating_instances(SEARCH_CORPUS, *pair)
+                    for pair in pairs}
+        oracle = {pair: search_oracle(corpus, *pair) for pair in pairs}
+        assert searched == oracle
+        assert searched["weakly-s-prime", "s-prime"]
+
     def test_separation_found(self):
         rows = H.search_separating_instances(
             ("ring:Z4",), "weakly-s-prime", "s-prime")

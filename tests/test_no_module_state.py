@@ -2,11 +2,12 @@
 
 Derived data belongs to the object it is derived from (a structure's
 inverse map and translation-row tables, a lattice's ideal-product table, a
-suite context's factor contexts, product triple and verdict memo), so two
-calls in one process share nothing but read-only tables such as
-``STATEMENTS`` and ``PREDICATES``.  A structure sets its derived fields in
-``__post_init__``, not through ``cached_property``, which on CPython 3.11
-makes every later attribute read on the instance about 3x slower.
+suite context's factor contexts, product triple, verdict memo and rendered
+subsets), so two calls in one process share nothing but read-only tables
+such as ``STATEMENTS`` and ``PREDICATES``.  A structure sets its derived
+fields in ``__post_init__``, not through ``cached_property``, which on
+CPython 3.11 makes every later attribute read on the instance about 3x
+slower.
 """
 
 import ast

@@ -39,11 +39,14 @@ SIDES = ("parent", "change")
 
 def run(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """One perfbench run in ``root``: the JSON object it prints last, with
-    the run's round count and unmeasured metrics from its record file."""
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=root, capture_output=True, text=True, check=True)
+    the run's round count and unmeasured metrics from its record file.  A
+    failed run raises with the last 2,000 characters of its stderr."""
+    command = [sys.executable, "perfbench/run.py", "--workload", workload,
+               "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+    proc = subprocess.run(command, cwd=root, capture_output=True, text=True)
+    if proc.returncode:
+        raise RuntimeError(f"{' '.join(command)} in {root} exited {proc.returncode}:\n"
+                           f"{proc.stderr[-2000:]}")
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     record = json.loads((root / ".perfbench_work" / "results" /
                          f"{workload}-seed{seed}-trace{trace}.json").read_text())
