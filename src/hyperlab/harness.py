@@ -71,6 +71,7 @@ from .ideals import (
     support_rows,
 )
 from .predicates import (
+    IGNORES_S,
     evaluate_predicate,
     is_weakly_s_prime,
     multiplicative_subsets,
@@ -194,10 +195,10 @@ def _verdict(ctx: StructureContext, name: str, q: ElementSet,
     and budget, decided once per context.
 
     ``name`` is a ``predicates.PREDICATES`` key, and the memo key is that
-    name, Q and S.  The registry looks each predicate up by its module
-    name at call time, so a wrapper bound over that name (a tracer, a test)
-    sees every question the memo has not answered yet.  A call that raises
-    is not memoised.
+    name, Q and S, with no S for a name in ``IGNORES_S``.  The registry
+    looks each predicate up by its module name at call time, so a wrapper
+    bound over that name (a tracer, a test) sees every question the memo
+    has not answered yet.  A call that raises is not memoised.
 
     Three questions are asked directly instead:
 
@@ -208,7 +209,7 @@ def _verdict(ctx: StructureContext, name: str, q: ElementSet,
     * P16's restriction and P18's triple, which are structures built for
       one instance, with no context.
     """
-    key = (name, q.mask, None if s is None else s.mask)
+    key = (name, q.mask, None if s is None or name in IGNORES_S else s.mask)
     verdict = ctx.verdicts.get(key)
     if verdict is None:
         verdict = ctx.verdicts[key] = evaluate_predicate(
@@ -626,13 +627,15 @@ def _gen_p16(corpus):
                 continue
             sub = substructure(a, c, label=f"{ctx.name}[{_render(ctx, c)}]")
             incl = inclusion(sub, a)
-            for s_sub in multiplicative_subsets(sub, MULT_SIZE_CAP):
-                s_par = incl.map_set(s_sub)
+            for s_par in ctx.mult_sets:
+                if not s_par.issubset(c):
+                    continue
+                s_sub = preimage_ideal(incl, s_par)
                 for q2 in ctx.lattice.proper():
                     if q2 & s_par:
                         continue
                     desc = (f"{ctx.name}: C={_render(ctx, c)} "
-                            f"S={s_sub.render(sub.names)} Q={_render(ctx, q2)}")
+                            f"S={_render(ctx, s_par)} Q={_render(ctx, q2)}")
                     yield desc, dict(ctx=ctx, sub=sub, incl=incl,
                                      s_sub=s_sub, s_par=s_par, q2=q2)
 

@@ -5,11 +5,13 @@ every argument position.  Apart from reachability inside the subset, these
 conditions are Horn rules (zero is in; f-images of members, the unique
 inverse of a member and every g-product with a member are in), so the sets
 obeying them form a closure system and every hyperideal is one of its closed
-sets.  The lattice is found by walking that closure system with Kuznetsov's
+sets.  :func:`_closed_sets` walks a closure system with Kuznetsov's
 Close-by-One search, each step joining a closed set with one principal
-closure cl({0, x}), and keeping the closed sets that pass
-:func:`is_hyperideal`.  Each ideal carries a primality flag so the radical
-can be computed by intersection.
+closure.  The lattice walks f's rows from {0}, excluding elements without a
+unique inverse, and keeps the closed sets that pass :func:`is_hyperideal`;
+``predicates.multiplicative_subsets`` walks g's rows from the empty set,
+excluding zero, up to its size cap.  Each ideal carries a primality flag so
+the radical can be computed by intersection.
 
 Absorption, reachability and :func:`scale_row` (the one lookup of
 g(c, x, 1^(n-2)), read by colons, scaled sets and principal hyperideals)
@@ -22,6 +24,7 @@ integral-domain test all ask it.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import combinations_with_replacement
@@ -135,73 +138,67 @@ def _forced_masks(a: HyperStructure) -> list[int]:
     return forced
 
 
-def _close(a: HyperStructure, forced: list[int], closed: int, seed: int) -> int:
-    """Smallest closed set holding the closed set ``closed`` and ``seed``.
-
-    Elements are taken up one at a time; taking up y evaluates f only on the
-    m-multisets of taken-up elements that contain y, since every other
-    multiset was evaluated when its last element was taken up.  The full
-    carrier is closed, so reaching it ends the loop.
-    """
-    f_table = a.f_table
-    full = (1 << a.size) - 1
-    taken = list(ElementSet(closed, a.size))
-    done = closed
-    mask = closed | seed
-    pending = mask & ~done
-    while pending and mask != full:
-        low = pending & -pending
-        y = low.bit_length() - 1
-        done |= low
-        taken.append(y)
-        mask |= forced[y]
-        for ctx in combinations_with_replacement(taken, a.m - 1):
-            mask |= f_table[tuple(sorted(ctx + (y,)))].mask
-        pending = mask & ~done
-    return mask
-
-
-def _closed_sets(a: HyperStructure) -> list[int]:
-    """Every closed set free of elements without a unique inverse.
+def _closed_sets(arity: int, table: tuple[dict, list], forced: list[int], seed: int,
+                 excluded: int, cap: int) -> list[int]:
+    """Every closed set holding ``seed``, free of ``excluded``, of at most
+    ``cap`` elements, ascending by (size, mask), for the rule its caller
+    gives: a closed set holds ``forced[x]`` for each member x and the value
+    of every ``arity``-multiset of members, read from the mask-valued
+    translation rows ``table``.
 
     Close-by-One: a closed set C found by adding x is extended only by
-    elements above x, and the join D = cl(C + cl({0, y})) is kept only when
-    it adds nothing below y, so each closed set is reached once, from the
-    closure of its elements below its last generator.  That parent lies
-    inside D, so dropping every set that holds an element without a unique
-    inverse (no hyperideal holds one) loses no set free of them.  Raises
+    elements above x, and the join D = cl(C + cl(seed + y)) is kept only
+    when it adds nothing below y, so each closed set is reached once, from
+    the closure of its elements below its last generator.  That parent lies
+    inside D and closure is monotone, so dropping every set that holds an
+    excluded element or exceeds the cap loses no other set, and a join whose
+    union with C already exceeds the cap need not be computed.  Raises
     CapacityError once more than ``ENUMERATION_CAP`` closures were computed.
     """
-    forced = _forced_masks(a)
-    inv = a.inverse_map
-    bad = sum(1 << x for x in range(a.size) if x not in inv)
+    row_of, rows = table
+    size = len(forced)
+    full = (1 << size) - 1
     closures = 0
 
     def close(closed: int, seed: int) -> int:
+        # the least closed set holding the closed set `closed` and `seed`;
+        # taking up y reads only the multisets of taken-up elements holding
+        # y, as every other one was read when its last element was taken up
         nonlocal closures
         closures += 1
         if closures > ENUMERATION_CAP:
             raise CapacityError(
                 f"the join search passed the enumeration cap of {ENUMERATION_CAP} closures")
-        return _close(a, forced, closed, seed)
+        taken = list(ElementSet(closed, size))
+        done, mask = closed, closed | seed
+        while (pending := mask & ~done) and mask != full:
+            low = pending & -pending
+            y = low.bit_length() - 1
+            done |= low
+            insort(taken, y)
+            mask |= forced[y]
+            for ctx in combinations_with_replacement(taken, arity - 1):
+                mask |= rows[row_of[ctx]][y]
+        return mask
 
-    bottom = close(0, 1 << a.zero)
-    if bottom & bad:
+    bottom = close(0, seed)
+    if bottom & excluded:
         return []
-    principal = [close(bottom, 1 << x) for x in range(a.size)]
+    principal = [close(bottom, 1 << x) for x in range(size)]
     found = []
     stack = [(bottom, -1)]
     while stack:
         closed, last = stack.pop()
         found.append(closed)
-        for x in range(last + 1, a.size):
-            below = (1 << x) - 1
-            if closed >> x & 1 or principal[x] & (bad | below & ~closed):
+        for x in range(last + 1, size):
+            dropped = excluded | (1 << x) - 1 & ~closed
+            if (closed >> x & 1 or principal[x] & dropped
+                    or (closed | principal[x]).bit_count() > cap):
                 continue
             joined = close(closed, principal[x])
-            if not joined & (bad | below & ~closed):
+            if not joined & dropped and joined.bit_count() <= cap:
                 stack.append((joined, x))
-    return found
+    return sorted(found, key=lambda mask: (mask.bit_count(), mask))
 
 
 def enumerate_hyperideals(a: HyperStructure) -> IdealLattice:
@@ -213,12 +210,11 @@ def enumerate_hyperideals(a: HyperStructure) -> IdealLattice:
     closed sets, not the carrier size; raises CapacityError once the search
     has computed more than ``ENUMERATION_CAP`` closures.
     """
-    found = []
-    for mask in _closed_sets(a):
-        q = ElementSet(mask, a.size)
-        if is_hyperideal(a, q).holds:
-            found.append(q)
-    found.sort(key=lambda s: (len(s), s.mask))
+    excluded = sum(1 << x for x in range(a.size) if x not in a.inverse_map)
+    closed = _closed_sets(a.m, a.translations.f, _forced_masks(a), 1 << a.zero,
+                          excluded, a.size)
+    found = [q for q in (ElementSet(mask, a.size) for mask in closed)
+             if is_hyperideal(a, q).holds]
     full = a.full_set().mask
     flags = tuple(q.mask != full and first_unfactored(a, q.mask) is None for q in found)
     return IdealLattice(a, tuple(found), flags)

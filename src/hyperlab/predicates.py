@@ -32,13 +32,14 @@ each s fails on its own multiset.  Colons are ``ideals.colon_mask``.
 ``PREDICATES`` is the one registry of named predicates: ``classify``,
 ``evaluate_predicate``, ``CLASSIFY_KEYS``, the CLI choices and the suite's
 verdict memo (``harness._verdict``, behind every statement and ``search``)
-all read it.
+all read it; the memo keys the names in ``IGNORES_S`` without S.  The
+multiplicative sets S are the zero-free closed sets of g up to a size cap,
+listed by the closure walk of ``ideals`` (``multiplicative_subsets``).
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from itertools import combinations
 
 from .core import ElementSet, HyperStructure, graded_key, graded_multisets, sorted_key
 from .errors import (
@@ -50,6 +51,7 @@ from .errors import (
 )
 from .ideals import (
     IdealLattice,
+    _closed_sets,
     colon,
     colon_mask,
     colon_zero,
@@ -276,6 +278,9 @@ PREDICATES = {
         is_strongly_weakly_s_prime_colon(a, q, s),
 }
 
+# The registry names whose predicate does not read S.
+IGNORES_S = frozenset({"prime", "primary", "weakly-prime"})
+
 CLASSIFY_KEYS = tuple(PREDICATES)
 
 
@@ -322,13 +327,9 @@ def evaluate_predicate(name: str, a: HyperStructure, q: ElementSet, s: ElementSe
 
 
 def multiplicative_subsets(a: HyperStructure, max_size: int) -> list[ElementSet]:
-    """All zero-free g-closed subsets up to the size cap."""
-    pool = [x for x in range(a.size) if x != a.zero]
-    out = []
-    for k in range(1, max_size + 1):
-        for combo in combinations(pool, k):
-            candidate = ElementSet.from_indices(combo, a.size)
-            if is_multiplicative(a, candidate).holds:
-                out.append(candidate)
-    out.sort(key=lambda s: (len(s), s.mask))
-    return out
+    """All zero-free g-closed subsets up to the size cap, by (size, mask):
+    the nonempty sets of the closure walk on g's rows, excluding zero."""
+    row_of, rows = a.translations.g
+    table = (row_of, [tuple(1 << value for value in row) for row in rows])
+    found = _closed_sets(a.n, table, [0] * a.size, 0, 1 << a.zero, max_size)
+    return [ElementSet(mask, a.size) for mask in found if mask]

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 import hyperlab as H
@@ -7,6 +9,27 @@ SMALL_FIXTURES = (
     ["paper-2-4", "paper-3-3", "paper-3-3-s1"]
     + [f"ring:Z{k}" for k in range(2, 17)]
     + [f"ring:Z{j}xZ{k}" for j in range(2, 9) for k in range(2, 9) if j * k <= 16])
+
+# the 14 structures of the benchmark's theorems workload
+BENCH_CORPUS = (
+    "paper-2-4", "ring:Z4", "ring:Z6", "ring:Z12", "ring:Z2xZ3", "ring:Z4xZ3",
+    "ring:Z8", "ring:Z9", "ring:Z16", "ring:Z2xZ2", "ring:Z2xZ4",
+    "ring:Z3xZ3", "ring:Z2xZ6", "ring:Z2xZ8",
+)
+
+
+def multiplicative_by_search(a, max_size):
+    """``multiplicative_subsets`` by testing every zero-free subset of at
+    most ``max_size`` elements: the oracle of the closure walk."""
+    pool = [x for x in range(a.size) if x != a.zero]
+    out = []
+    for k in range(1, max_size + 1):
+        for combo in itertools.combinations(pool, k):
+            candidate = H.ElementSet.from_indices(combo, a.size)
+            if H.is_multiplicative(a, candidate).holds:
+                out.append(candidate)
+    out.sort(key=lambda s: (len(s), s.mask))
+    return out
 
 
 @pytest.fixture(scope="session")

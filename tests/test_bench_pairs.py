@@ -1,6 +1,7 @@
 """tools/bench_pairs.py checks its --workload specs before any run starts,
 keeps every run's round count, alternates the side traced first and gives
-each metric a verdict, shows progress by the first metric of
+each metric a verdict (no gain when the change fails a larger share of
+operations), shows progress by the first metric of
 BENCHMARK.json, and names the stderr of a run that fails."""
 
 import importlib.util
@@ -164,3 +165,28 @@ def test_a_failed_run_raises_with_the_tail_of_its_stderr(tmp_path, monkeypatch):
     message = str(exc.value)
     assert "exited 1" in message and "--seed 3" in message
     assert message.endswith(stderr[-2000:]) and stderr[-2001:] not in message
+
+
+@pytest.mark.parametrize("change_failed, expected", [
+    (0, "gain"), (1, "no worse")], ids=["same-share", "larger-share"])
+def test_no_gain_when_the_change_fails_a_larger_share(tmp_path, monkeypatch,
+                                                      change_failed, expected):
+    def fake_run(root, workload, seed, seconds, trace):
+        change = root.name == "change"
+        failed = change_failed if change else 0
+        return {"correct": failed == 0, "attempted": 10, "failed": failed,
+                "metrics": {"ops_per_s": {"value": (150.0 if change else 100.0) + seed,
+                                          "unit": "1/s"}},
+                "rounds": 1, "unmeasured": {}}
+
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.25}]}))
+    monkeypatch.setattr(bench_pairs, "run", fake_run)
+    out = tmp_path / "out.json"
+    assert bench_pairs.main(["--parent", str(tmp_path / "parent"),
+                             "--change", str(tmp_path / "change"), "--out", str(out),
+                             "--workload", "theorems:10"]) == 0
+    summary = json.loads(out.read_text())["workloads"]["theorems"]["metrics"]["ops_per_s"]
+    assert summary["wins"] == 10 and summary["verdict"] == expected

@@ -3,7 +3,10 @@
 `theorems`: the default-corpus output.  C10 only compares two runs of the
 same code; these digests were captured before the statement and predicate
 registries were merged, so any change to a report byte (a reason, a
-certificate, an instance order) fails here.
+certificate, an instance order) fails here.  The `--json` output over
+the benchmark corpus (`conftest.BENCH_CORPUS`) is pinned as well; its
+digest was captured before multiplicative sets were listed by the closure
+walk.
 
 `validate`: the rendered `check_krasner` violations (axiom, witness,
 detail) of paper-3-3 and of fixed one-entry f- and g-mutants
@@ -24,7 +27,7 @@ import pytest
 import hyperlab as H
 from hyperlab.cli import main
 
-from conftest import validate_inputs
+from conftest import BENCH_CORPUS, validate_inputs
 
 GOLDEN = {
     ("theorems", "--json"):
@@ -32,6 +35,8 @@ GOLDEN = {
     ("theorems",):
         "68666881122e589913820f1eac653306c5019ac0b1fb6a862f4acb3a6f18b913",
 }
+
+BENCH_GOLDEN = "953be4128165a169d22b092915c3ff8c9532649294e13128b30b43810a8f25b0"
 
 VALIDATE_GOLDEN = {
     False: "6ad0e455c8448eee62e91453d899afee13f2f366d877d7b700d07894205e37dc",
@@ -44,6 +49,12 @@ def test_default_corpus_report_bytes(capsys, argv):
     assert main(list(argv)) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN[argv]
+
+
+def test_benchmark_corpus_report_bytes(capsys):
+    assert main(["theorems", "--json", "--corpus", ",".join(BENCH_CORPUS)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == BENCH_GOLDEN
 
 
 @pytest.mark.parametrize("first", list(VALIDATE_GOLDEN), ids=["all", "first"])

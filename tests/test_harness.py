@@ -10,7 +10,7 @@ import hyperlab as H
 import hyperlab.harness as harness
 import hyperlab.predicates as predicates
 
-from conftest import mutated
+from conftest import BENCH_CORPUS, multiplicative_by_search, mutated
 
 
 def by_property(reports, pid):
@@ -224,6 +224,39 @@ def test_evaluators_take_exactly_their_payload():
         assert keys == set(inspect.signature(evaluate).parameters), evaluate.__name__
 
 
+def p16_oracle(corpus):
+    """P16's instances as generated before: the multiplicative sets of each
+    substructure C, searched in C itself."""
+    for ctx in corpus:
+        if not ctx.usable:
+            continue
+        a = ctx.structure
+        for c in ctx.lattice.proper():
+            if c.mask == 1 << a.zero:
+                continue
+            sub = H.substructure(a, c, label=f"{ctx.name}[{c.render(a.names)}]")
+            incl = H.inclusion(sub, a)
+            for s_sub in multiplicative_by_search(sub, harness.MULT_SIZE_CAP):
+                s_par = incl.map_set(s_sub)
+                for q2 in ctx.lattice.proper():
+                    if not q2 & s_par:
+                        desc = (f"{ctx.name}: C={c.render(a.names)} "
+                                f"S={s_sub.render(sub.names)} Q={q2.render(a.names)}")
+                        yield desc, (sub.label, sub.names, s_sub.mask, s_par.mask, q2.mask)
+
+
+@pytest.mark.parametrize("names", [H.DEFAULT_CORPUS, BENCH_CORPUS], ids=["default", "bench"])
+def test_p16_reads_the_context_mult_sets_as_the_substructure_search_did(names):
+    corpus = H.build_corpus(names)
+    got = []
+    for inst in H.generate_instances("P16", corpus):
+        p = inst.payload
+        got.append((inst.description, (p["sub"].label, p["sub"].names, p["s_sub"].mask,
+                                       p["s_par"].mask, p["q2"].mask)))
+    assert got == list(p16_oracle(corpus))
+    assert got
+
+
 SEARCH_CORPUS = ("ring:Z4", "ring:Z6", "ring:Z12", "ring:Z2xZ4", "paper-2-4")
 
 
@@ -256,6 +289,12 @@ class TestSearch:
         oracle = {pair: search_oracle(corpus, *pair) for pair in pairs}
         assert searched == oracle
         assert searched["weakly-s-prime", "s-prime"]
+
+    def test_a_question_without_s_is_decided_once_per_q(self, monkeypatch):
+        # is_prime does not read S: 17 distinct Q over the search corpus
+        asked = counting(monkeypatch, "is_prime")
+        H.search_separating_instances(SEARCH_CORPUS, "weakly-s-prime", "prime")
+        assert len(asked) == 17
 
     def test_separation_found(self):
         rows = H.search_separating_instances(

@@ -2,12 +2,15 @@
 randomized agreement with independent oracles."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import hyperlab as H
-from hyperlab.predicates import CLASSIFY_KEYS
+from hyperlab.predicates import CLASSIFY_KEYS, IGNORES_S, PREDICATES
+
+from conftest import BENCH_CORPUS, SMALL_FIXTURES, multiplicative_by_search
 
 
 class TestDesignatedExampleReproduction:
@@ -136,12 +139,46 @@ class TestClassify:
         assert H.chain_violations(record) == []
 
 
+def walk_inputs():
+    """Small fixtures, the benchmark structures and their factors, seeded
+    g-mutants, and 21-element tables whose g is min, max, 1 or 0."""
+    names = dict.fromkeys([*SMALL_FIXTURES, *BENCH_CORPUS])
+    for name in BENCH_CORPUS:
+        names.update(dict.fromkeys(f.name for f in H.fixture(name).factors or ()))
+    for name in names:
+        yield H.fixture(name).structure
+    for name in ("paper-2-4", "paper-3-3", "ring:Z6", "ring:Z12", "ring:Z2xZ4"):
+        base, rng = H.fixture(name).structure, random.Random(name)
+        for _ in range(20):
+            g_entries = dict(base.g_table)
+            for _ in range(rng.randint(1, 3)):
+                g_entries[rng.choice(sorted(g_entries))] = rng.randrange(base.size)
+            yield H.HyperStructure.from_tables(
+                base.m, base.n, base.names, {k: tuple(v) for k, v in base.f_table.items()},
+                g_entries, base.zero, base.one, label=f"{name}-g-mutant")
+    z21 = H.fixture("ring:Z21").structure
+    f_entries = {k: tuple(v) for k, v in z21.f_table.items()}
+    for label, g in (("min", min), ("max", max), ("one", lambda ms: 1),
+                     ("zero", lambda ms: 0)):
+        yield H.HyperStructure.from_tables(
+            2, 2, z21.names, f_entries, {ms: g(ms) for ms in z21.g_table}, 0, None,
+            label=f"Z21-{label}")
+
+
 class TestMultiplicativeSets:
     def test_frozen_pools(self, madar, z4):
         assert [s.render(madar.names) for s in
                 H.multiplicative_subsets(madar, 3)] == ["{2}", "{2,3}"]
         assert [s.render(z4.names) for s in
                 H.multiplicative_subsets(z4, 3)] == ["{1}", "{1,3}"]
+
+    def test_closure_walk_equals_the_subset_search(self):
+        # every cap from 0 to 4: the search at cap 4, cut by size
+        for a in walk_inputs():
+            searched = [s.mask for s in multiplicative_by_search(a, 4)]
+            for k in range(5):
+                expected = [m for m in searched if m.bit_count() <= k]
+                assert [s.mask for s in H.multiplicative_subsets(a, k)] == expected, (a.label, k)
 
     def test_closure_counterexample(self, z4):
         verdict = H.is_multiplicative(z4, z4.subset([2]))
@@ -245,3 +282,20 @@ def test_evaluate_predicate_dispatch(z4, lattices):
         assert verdict.holds in (True, False)
     with pytest.raises(ValueError):
         H.evaluate_predicate("bogus", z4, q, s, lat)
+
+
+def test_ignores_s_names_the_predicates_that_run_without_s(z12, lattices):
+    # a predicate that reads S rejects a missing one; the others give the
+    # same verdict for every S
+    lat = lattices[z12.label]
+    without_s = {}
+    for name, predicate in PREDICATES.items():
+        try:
+            without_s[name] = [predicate(z12, q, None, lat, None) for q in lat.proper()]
+        except H.EmptyArgumentError:
+            pass
+    assert set(without_s) == IGNORES_S
+    for name in IGNORES_S:
+        for s in H.multiplicative_subsets(z12, 3):
+            assert [PREDICATES[name](z12, q, s, lat, None)
+                    for q in lat.proper()] == without_s[name], (name, s)

@@ -67,11 +67,13 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def verdict(summary: dict, higher: bool, bound: float) -> str:
-    """One metric's verdict from its ``summarise`` entry, by its ``bound``.
+def verdict(summary: dict, higher: bool, bound: float, failed: dict) -> str:
+    """One metric's verdict from its ``summarise`` entry, by its ``bound``;
+    ``failed`` is each side's share of failed operations over its runs.
 
-    - "gain": the change won at least 9 of 10 pairs, and its median is
-      better than the parent's by more than the parent's interquartile range;
+    - "gain": the change failed no larger share of operations than the
+      parent, won at least 9 of 10 pairs, and its median is better than the
+      parent's by more than the parent's interquartile range;
     - "worse": the change's median is worse by more than ``bound`` times the
       parent's median;
     - "unresolved": the parent's interquartile range exceeds ``bound`` times
@@ -83,7 +85,8 @@ def verdict(summary: dict, higher: bool, bound: float) -> str:
     parent, change, values = summary["parent"], summary["change"], summary["values"]
     iqr, median = parent["q3"] - parent["q1"], parent["median"]
     better_by = sign * (change["median"] - median)
-    if 10 * summary["wins"] >= 9 * len(values["parent"]) and better_by > iqr:
+    if (failed["change"] <= failed["parent"]
+            and 10 * summary["wins"] >= 9 * len(values["parent"]) and better_by > iqr):
         return "gain"
     if -better_by > bound * median:
         return "worse"
@@ -94,6 +97,8 @@ def verdict(summary: dict, higher: bool, bound: float) -> str:
 
 
 def summarise(runs: dict, metrics: list[dict]) -> dict:
+    failed = {side: sum(r["failed"] for r in runs[side]) / sum(r["attempted"] for r in runs[side])
+              for side in SIDES}
     out = {}
     for metric in metrics:
         name, higher = metric["name"], metric["better"] == "higher"
@@ -106,7 +111,7 @@ def summarise(runs: dict, metrics: list[dict]) -> dict:
                      "parent": parent, "change": change,
                      "ratio": change["median"] / parent["median"],
                      "wins": wins, "values": values}
-        out[name]["verdict"] = verdict(out[name], higher, metric["bound"])
+        out[name]["verdict"] = verdict(out[name], higher, metric["bound"], failed)
     return out
 
 
