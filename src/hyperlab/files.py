@@ -73,29 +73,41 @@ def document_to_structure(doc: object) -> HyperStructure:
     if len(index) != len(carrier):
         raise LoadError("carrier contains duplicate names")
 
-    def resolve(name: object, where: str) -> int:
-        if not isinstance(name, str) or name not in index:
-            raise LoadError(f"unknown element name {name!r} in {where}")
-        return index[name]
+    def unknown(*places) -> LoadError:
+        # the error naming the first name, place by place, that is no carrier name
+        return next(LoadError(f"unknown element name {x!r} in {where}")
+                    for names, where in places for x in names
+                    if not isinstance(x, str) or x not in index)
 
-    zero = resolve(zero_name, "zero")
-    one = None
-    if doc.get("one") is not None:
-        one = resolve(doc["one"], "one")
+    # one dict lookup per name; the except clauses only word the error
+    get = index.__getitem__
+    one = doc.get("one")
+    try:
+        zero = get(zero_name)
+        if one is not None:
+            one = get(one)
+    except (KeyError, TypeError):
+        raise unknown(((zero_name,), "zero"), ((one,), "one")) from None
 
     f_doc, g_doc = doc.get("f"), doc.get("g")
     if not isinstance(f_doc, dict) or not isinstance(g_doc, dict):
         raise LoadError("document must carry f and g tables")
-    f_entries = {}
+    f_entries, g_entries = {}, {}
     for key, value in f_doc.items():
-        args = tuple(resolve(p, f"f key {key!r}") for p in key.split(KEY_SEPARATOR))
-        if not isinstance(value, list):
-            raise LoadError(f"f value for {key!r} must be an array of names")
-        f_entries[args] = tuple(resolve(v, f"f value for {key!r}") for v in value)
-    g_entries = {}
+        parts = key.split(KEY_SEPARATOR)
+        try:
+            args = tuple(map(get, parts))
+            if not isinstance(value, list):
+                raise LoadError(f"f value for {key!r} must be an array of names")
+            f_entries[args] = tuple(map(get, value))
+        except (KeyError, TypeError):
+            raise unknown((parts, f"f key {key!r}"), (value, f"f value for {key!r}")) from None
     for key, value in g_doc.items():
-        args = tuple(resolve(p, f"g key {key!r}") for p in key.split(KEY_SEPARATOR))
-        g_entries[args] = resolve(value, f"g value for {key!r}")
+        parts = key.split(KEY_SEPARATOR)
+        try:
+            g_entries[tuple(map(get, parts))] = get(value)
+        except (KeyError, TypeError):
+            raise unknown((parts, f"g key {key!r}"), ((value,), f"g value for {key!r}")) from None
 
     try:
         return HyperStructure.from_tables(

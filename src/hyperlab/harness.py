@@ -157,10 +157,13 @@ class StructureContext:
 
 
 def build_context(name: str, budget: int | None = None) -> StructureContext:
-    return _prepare(fixture(name), MULT_SIZE_CAP, budget)
+    return _prepare(fixture(name), MULT_SIZE_CAP, budget, {})
 
 
-def _prepare(fx: Fixture, mult_cap: int, budget: int | None) -> StructureContext:
+def _prepare(fx: Fixture, mult_cap: int, budget: int | None,
+             prepared: dict) -> StructureContext:
+    """The context of ``fx``, kept in ``prepared`` by (name, cap), where a
+    factor of several products of one corpus is prepared once."""
     violations = tuple(check_krasner(fx.structure))
     lattice, err = None, ""
     if not violations:
@@ -173,12 +176,17 @@ def _prepare(fx: Fixture, mult_cap: int, budget: int | None) -> StructureContext
     mult_sets = tuple(multiplicative_subsets(fx.structure, mult_cap))
     factors = None
     if fx.factors:
-        factors = tuple(_prepare(f, PRODUCT_MULT_SIZE_CAP, budget) for f in fx.factors)
-    return StructureContext(fx, violations, lattice, err, mult_sets, factors, budget)
+        factors = tuple(prepared.get((f.name, PRODUCT_MULT_SIZE_CAP))
+                        or _prepare(f, PRODUCT_MULT_SIZE_CAP, budget, prepared)
+                        for f in fx.factors)
+    ctx = prepared[fx.name, mult_cap] = StructureContext(
+        fx, violations, lattice, err, mult_sets, factors, budget)
+    return ctx
 
 
 def build_corpus(names, budget: int | None = None) -> list[StructureContext]:
-    return [build_context(name, budget) for name in names]
+    prepared = {}
+    return [_prepare(fixture(name), MULT_SIZE_CAP, budget, prepared) for name in names]
 
 
 def _render(ctx: StructureContext, subset: ElementSet) -> str:

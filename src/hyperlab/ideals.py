@@ -13,13 +13,13 @@ unique inverse, and keeps the closed sets that pass :func:`is_hyperideal`;
 excluding zero, up to its size cap.  Each ideal carries a primality flag so
 the radical can be computed by intersection.
 
-Absorption, reachability and :func:`scale_row` (the one lookup of
-g(c, x, 1^(n-2)), read by colons, scaled sets and principal hyperideals)
-read the structure's translation rows (``HyperStructure.translations``).
-:func:`support_rows` gives each g-table entry valued in a mask with the
-mask of its entries.  Q is prime when :func:`first_unfactored` finds no
-multiset outside Q valued in Q; the lattice flags, ``is_prime`` and the
-integral-domain test all ask it.
+Absorption, reachability, primality, the lattice's ideal products and
+:func:`scale_row` (the one lookup of g(c, x, 1^(n-2)), read by colons,
+scaled sets and principal hyperideals) read the structure's translation
+rows (``HyperStructure.translations``).  The lattice flags, ``is_prime`` and
+the integral-domain test ask :func:`is_prime_like`; the last two take their
+witness from :func:`first_unfactored`.  :func:`support_rows` gives each
+g-table entry valued in a mask with the mask of its entries.
 """
 
 from __future__ import annotations
@@ -27,10 +27,10 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from operator import or_
 
-from .core import ElementSet, HyperStructure, graded_key, multisets, sorted_key
+from .core import ElementSet, HyperStructure, _translations, graded_key, sorted_key
 from .errors import CapacityError, IdentityRequired
 from .verdict import Verdict
 
@@ -110,18 +110,31 @@ class IdealLattice:
         lattice indices: the ideal product g(L_i1, ..., L_in) as a carrier
         mask and the set of indices it uses as a lattice-index mask.
 
+        The product is the union of the images of L_in under the g rows of
+        the contexts drawn from L_i1, ..., L_i(n-1).  Each prefix of indices
+        carries the states its contexts are in, where a k-context's state is
+        interned from those of its extensions by one element (at k = n - 1,
+        its row id), so a prefix's extensions share its work.
+
         Built on first use and kept for the lattice's lifetime; it has
         C(len + n - 1, n) rows, so callers check their scan budget first.
         """
         a = self.structure
-        rows = []
-        for ms in multisets(len(self.sets), a.n):
-            support = 0
-            for i in ms:
-                support |= 1 << i
-            product = a.eval_g_on_sets([self.sets[i] for i in ms])
-            rows.append((ms, support, product.mask))
-        return tuple(rows)
+        table, steps = a.translations.g[0], []
+        for k in range(a.n - 1, 0, -1):
+            table, step = _translations(a.size, k, table)
+            steps.insert(0, step)
+        members = [q.indices() for q in self.sets]
+        image = [[sum(1 << v for v in set(map(row.__getitem__, ideal))) for ideal in members]
+                 for row in a.translations.g[1]]
+        level = [((), {0})]
+        for step in steps:
+            level = [(prefix + (j,), {step[s][y] for s in states for y in members[j]})
+                     for prefix, states in level
+                     for j in range(prefix[-1] if prefix else 0, len(members))]
+        return tuple((prefix + (j,), reduce(or_, (1 << i for i in prefix), 1 << j),
+                      reduce(or_, (image[r][j] for r in states)))
+                     for prefix, states in level for j in range(prefix[-1], len(members)))
 
 
 def _forced_masks(a: HyperStructure) -> list[int]:
@@ -216,7 +229,7 @@ def enumerate_hyperideals(a: HyperStructure) -> IdealLattice:
     found = [q for q in (ElementSet(mask, a.size) for mask in closed)
              if is_hyperideal(a, q).holds]
     full = a.full_set().mask
-    flags = tuple(q.mask != full and first_unfactored(a, q.mask) is None for q in found)
+    flags = tuple(q.mask != full and is_prime_like(a, q.mask) for q in found)
     return IdealLattice(a, tuple(found), flags)
 
 
@@ -233,13 +246,36 @@ def support_rows(a: HyperStructure, values: int) -> list[tuple[int, tuple[int, .
     return rows
 
 
-def first_unfactored(a: HyperStructure, mask: int) -> tuple[int, ...] | None:
-    """The graded-first multiset whose g-value lies in the mask and none of
-    whose entries does, or None: the mask is prime-like exactly when None."""
+def is_prime_like(a: HyperStructure, mask: int) -> bool:
+    """True when no multiset outside the mask has its g-value inside: no
+    (n-1)-context drawn from outside has a g row sending an element outside
+    into the mask.  Each distinct row is tested once, on the whole outside."""
     outside = [x for x in range(a.size) if not mask >> x & 1]
-    missed = [ms for ms in combinations_with_replacement(outside, a.n)
-              if mask >> a.g_table[ms] & 1]
-    return min(missed, key=graded_key) if missed else None
+    inside = set(ElementSet(mask, a.size))
+    row_of, rows = a.translations.g
+    tested = set()
+    for i in map(row_of.__getitem__, combinations_with_replacement(outside, a.n - 1)):
+        if i not in tested:
+            tested.add(i)
+            if not inside.isdisjoint(map(rows[i].__getitem__, outside)):
+                return False
+    return True
+
+
+def first_unfactored(a: HyperStructure, mask: int) -> tuple[int, ...] | None:
+    """The graded-first multiset (``core.graded_key``) outside the mask whose
+    g-value lies in it, or None: the lexicographically first one with all
+    entries distinct, else the first of the lowest grade; grade 1 ends it."""
+    outside = [x for x in range(a.size) if not mask >> x & 1]
+    g, n = a.g_table, a.n
+    found = next((ms for ms in combinations(outside, n) if mask >> g[ms] & 1), None)
+    if found is None:
+        for ms in combinations_with_replacement(outside, n):
+            if mask >> g[ms] & 1 and (found is None or graded_key(ms) < graded_key(found)):
+                found = ms
+                if len(set(ms)) == n - 1:
+                    break
+    return found
 
 
 def scale_row(a: HyperStructure, c: int, what: str) -> tuple[int, ...]:

@@ -15,9 +15,9 @@ row exactly when the row's support meets P_s.
 * Element level (S-prime, weakly S-prime, and weakly prime as S = {1}):
   the rows are the g-table entries whose value lies in Q (and is nonzero
   for the weakly variants), from ``ideals.support_rows``.  Primality and
-  the integral-domain test (primality of {0}) ask
-  ``ideals.first_unfactored`` for a multiset outside Q valued in Q, the
-  test behind the lattice's prime flags.
+  the integral-domain test (primality of {0}) ask the g-row test behind
+  the lattice's prime flags, ``ideals.is_prime_like``; only when it fails
+  does ``ideals.first_unfactored`` look for the graded-first witness.
 * Ideal level (strongly weakly S-prime, ``strongly_associated``): the rows
   are the lattice-index n-multisets whose ideal product is nonzero and
   inside Q, read from the lattice's ``products`` table; s handles a factor
@@ -56,6 +56,7 @@ from .ideals import (
     colon_mask,
     colon_zero,
     first_unfactored,
+    is_prime_like,
     radical,
     support_rows,
 )
@@ -151,9 +152,11 @@ def _one_colon_meets_all(rows, candidates, colon_of, what: str = "tuple") -> Ver
 
 
 def _factor_inside(a: HyperStructure, mask: int, note: str) -> Verdict:
-    # primality of a mask, with the graded-first unfactored multiset
-    ms = first_unfactored(a, mask)
-    return Verdict(True) if ms is None else Verdict(False, counterexample=ms, note=note)
+    # primality of a mask on the g rows; the graded-first unfactored
+    # multiset is looked for only once the rows have found one
+    if is_prime_like(a, mask):
+        return Verdict(True)
+    return Verdict(False, counterexample=first_unfactored(a, mask), note=note)
 
 
 def _element_scan(a: HyperStructure, q: ElementSet, s: ElementSet, rows) -> Verdict:

@@ -1,8 +1,10 @@
 import itertools
+import random
 
 import pytest
 
 import hyperlab as H
+from hyperlab.core import graded_key
 
 # every fixture of 16 elements or fewer
 SMALL_FIXTURES = (
@@ -16,6 +18,49 @@ BENCH_CORPUS = (
     "ring:Z8", "ring:Z9", "ring:Z16", "ring:Z2xZ2", "ring:Z2xZ4",
     "ring:Z3xZ3", "ring:Z2xZ6", "ring:Z2xZ8",
 )
+
+
+# inputs of the primality and ideal-product oracles: every fixture of 16
+# elements or fewer, paper-2-4 squared, and 40 seeded random mutants of each
+# of three bases (enumerate_hyperideals accepts invalid tables)
+MUTANT_BASES = ("paper-2-4", "paper-3-3", "ring:Z6")
+ORACLE_INPUTS = (*SMALL_FIXTURES, "paper-2-4^2", *(f"mutants:{b}" for b in MUTANT_BASES))
+
+
+def random_mutant(a, rng):
+    """Copy of ``a`` with one to three f or g entries replaced at random."""
+    f_entries = {k: tuple(v) for k, v in a.f_table.items()}
+    g_entries = dict(a.g_table)
+    for _ in range(rng.randint(1, 3)):
+        if rng.random() < 0.5:
+            key = rng.choice(sorted(f_entries))
+            f_entries[key] = tuple(rng.sample(range(a.size), rng.randint(1, 2)))
+        else:
+            g_entries[rng.choice(sorted(g_entries))] = rng.randrange(a.size)
+    return H.HyperStructure.from_tables(a.m, a.n, a.names, f_entries, g_entries,
+                                        a.zero, a.one, label=a.label + "-mutant")
+
+
+def oracle_structures(key):
+    """The structures of one ``ORACLE_INPUTS`` entry."""
+    if key == "paper-2-4^2":
+        madar = H.fixture("paper-2-4").structure
+        return [H.product(madar, madar, label=key)]
+    if key.startswith("mutants:"):
+        base = key.removeprefix("mutants:")
+        rng = random.Random(base)
+        return [random_mutant(H.fixture(base).structure, rng) for _ in range(40)]
+    return [H.fixture(key).structure]
+
+
+def listed_first_unfactored(a, mask):
+    """The graded-first multiset outside the mask valued in it, or None, by
+    listing every such multiset and taking the least: the oracle of the
+    row test and the graded scan."""
+    outside = [x for x in range(a.size) if not mask >> x & 1]
+    missed = [ms for ms in itertools.combinations_with_replacement(outside, a.n)
+              if mask >> a.g_table[ms] & 1]
+    return min(missed, key=graded_key) if missed else None
 
 
 def multiplicative_by_search(a, max_size):

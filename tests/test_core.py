@@ -224,3 +224,9 @@ class TestEvaluation:
         assert z6.index_of("5") == 5
         with pytest.raises(H.UnknownElementError):
             z6.index_of("6")
+
+
+def test_the_package_exports_its_public_imports():
+    assert H.__all__ == sorted(H.__all__)
+    assert {"enumerate_hyperideals", "is_prime", "load_structure", "set_product"} <= set(H.__all__)
+    assert not {"axioms", "core", "types"} & set(H.__all__)

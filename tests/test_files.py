@@ -67,6 +67,22 @@ def test_unknown_element_name_rejected():
         H.document_to_structure(doc)
 
 
+@pytest.mark.parametrize("table, key, spelled, value, message", [
+    ("f", "1,3", "7,9", None, "unknown element name '7' in f key '7,9'"),
+    ("f", "1,3", "1,3", ["0", "x", "y"], "unknown element name 'x' in f value for '1,3'"),
+    ("g", "2,3", "3,9", None, "unknown element name '9' in g key '3,9'"),
+    ("g", "2,3", "2,3", "7", "unknown element name '7' in g value for '2,3'"),
+    ("g", "2,3", "2,3", ["1"], "unknown element name ['1'] in g value for '2,3'"),
+], ids=["f-key", "f-value", "g-key", "g-value", "g-value-list"])
+def test_unknown_element_message_names_the_first_bad_part(table, key, spelled, value, message):
+    doc = doc_for("ring:Z4")
+    old = doc[table].pop(key)
+    doc[table][spelled] = old if value is None else value
+    with pytest.raises(H.LoadError) as raised:
+        H.document_to_structure(doc)
+    assert str(raised.value) == message
+
+
 def test_empty_f_value_rejected():
     doc = doc_for("ring:Z4")
     doc["f"]["1,3"] = []

@@ -224,6 +224,23 @@ def test_evaluators_take_exactly_their_payload():
         assert keys == set(inspect.signature(evaluate).parameters), evaluate.__name__
 
 
+def test_a_corpus_prepares_each_fixture_and_cap_once(monkeypatch):
+    # the 14 benchmark structures hold 19 distinct (fixture, cap) pairs;
+    # ring:Z2, ring:Z3 and ring:Z4 are factors of 6, 4 and 2 of them
+    prepared = []
+    prepare = harness._prepare
+
+    def counting(fx, mult_cap, *rest):
+        prepared.append((fx.name, mult_cap))
+        return prepare(fx, mult_cap, *rest)
+
+    monkeypatch.setattr(harness, "_prepare", counting)
+    corpus = H.build_corpus(BENCH_CORPUS)
+    assert len(prepared) == len(set(prepared)) == 19
+    by_name = {ctx.name: ctx for ctx in corpus}
+    assert by_name["ring:Z2xZ3"].factors[0] is by_name["ring:Z2xZ8"].factors[0]
+
+
 def p16_oracle(corpus):
     """P16's instances as generated before: the multiplicative sets of each
     substructure C, searched in C itself."""

@@ -9,8 +9,14 @@ import pytest
 
 import hyperlab as H
 import hyperlab.ideals as ideals_module
-from hyperlab.core import insert_sorted, sorted_key
-from conftest import SMALL_FIXTURES
+from hyperlab.core import insert_sorted, multisets, sorted_key
+from conftest import (
+    ORACLE_INPUTS,
+    SMALL_FIXTURES,
+    listed_first_unfactored,
+    oracle_structures,
+    random_mutant,
+)
 
 
 def naive_is_ideal(a, members):
@@ -130,20 +136,6 @@ def test_every_closed_set_of_a_valid_structure_is_an_ideal(name, monkeypatch):
     assert sorted(checked) == sorted(q.mask for q in lattice)
 
 
-def random_mutant(a, rng):
-    """Copy of ``a`` with one to three f or g entries replaced at random."""
-    f_entries = {k: tuple(v) for k, v in a.f_table.items()}
-    g_entries = dict(a.g_table)
-    for _ in range(rng.randint(1, 3)):
-        if rng.random() < 0.5:
-            key = rng.choice(sorted(f_entries))
-            f_entries[key] = tuple(rng.sample(range(a.size), rng.randint(1, 2)))
-        else:
-            g_entries[rng.choice(sorted(g_entries))] = rng.randrange(a.size)
-    return H.HyperStructure.from_tables(a.m, a.n, a.names, f_entries, g_entries,
-                                        a.zero, a.one, label=a.label + "-mutant")
-
-
 @pytest.mark.parametrize("name", ["paper-2-4", "paper-3-3", "ring:Z6", "ring:Z8",
                                   "ring:Z9", "ring:Z12", "ring:Z2xZ4"])
 def test_closure_route_matches_subset_scan_on_mutants(name):
@@ -151,6 +143,61 @@ def test_closure_route_matches_subset_scan_on_mutants(name):
     rng = random.Random(name)
     for _ in range(30):
         assert_matches_scan(random_mutant(base, rng))
+
+
+def products_by_sets(lattice):
+    """``IdealLattice.products`` by multiplying the ideals of each index
+    multiset with ``eval_g_on_sets``: the oracle of the row route."""
+    a = lattice.structure
+    rows = []
+    for ms in multisets(len(lattice.sets), a.n):
+        support = 0
+        for i in ms:
+            support |= 1 << i
+        product = a.eval_g_on_sets([lattice.sets[i] for i in ms])
+        rows.append((ms, support, product.mask))
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("key", ORACLE_INPUTS)
+def test_row_primality_matches_the_listing_oracle(key):
+    for a in oracle_structures(key):
+        lattice = H.enumerate_hyperideals(a)
+        full = a.full_set().mask
+        assert lattice.prime_flags == tuple(
+            q.mask != full and listed_first_unfactored(a, q.mask) is None for q in lattice)
+        # every mask of a small carrier, ideal or not; the lattice otherwise
+        for mask in range(1 << a.size) if a.size <= 6 else [q.mask for q in lattice]:
+            expected = listed_first_unfactored(a, mask)
+            assert ideals_module.is_prime_like(a, mask) == (expected is None), (a, mask)
+            assert ideals_module.first_unfactored(a, mask) == expected, (a, mask)
+
+
+@pytest.mark.parametrize("key", ORACLE_INPUTS)
+def test_products_match_the_set_product_oracle(key):
+    for a in oracle_structures(key):
+        lattice = H.enumerate_hyperideals(a)
+        assert lattice.products == products_by_sets(lattice), a.label
+
+
+def test_a_row_reused_with_a_smaller_last_entry():
+    # n = 3, Q = {0}: the row of (1,3) is met again at (2,2), where it sends
+    # 2, below the first context's last entry, into Q
+    size = 4
+    f = {ms: ((ms[0] + ms[1]) % size,)
+         for ms in itertools.combinations_with_replacement(range(size), 2)}
+    g = dict.fromkeys(itertools.combinations_with_replacement(range(size), 3), 0)
+    g.update({(1, 1, 1): 1, (1, 1, 2): 2, (1, 1, 3): 1, (1, 2, 2): 1, (1, 3, 3): 3,
+              (2, 2, 3): 3, (2, 3, 3): 3, (3, 3, 3): 3, (1, 2, 3): 0, (2, 2, 2): 0})
+    a = H.HyperStructure.from_tables(2, 3, [str(i) for i in range(size)], f, g, zero=0)
+    row_of, rows = a.translations.g
+    assert row_of[1, 3] == row_of[2, 2] and rows[row_of[2, 2]][2] == 0
+    for mask in range(1, (1 << size) - 1):
+        expected = listed_first_unfactored(a, mask)
+        assert ideals_module.is_prime_like(a, mask) == (expected is None), mask
+        assert ideals_module.first_unfactored(a, mask) == expected, mask
+    verdict = H.is_prime(a, a.zero_set())
+    assert (verdict.holds, verdict.counterexample) == (False, (1, 2, 3))
 
 
 def direct_is_hyperideal(a, q):

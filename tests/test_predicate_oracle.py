@@ -25,7 +25,7 @@ from hyperlab.core import graded_multisets, multiset_splits, multisets, sorted_k
 from hyperlab.harness import _eval_p6, _eval_p10
 from hyperlab.ideals import colon_mask
 from hyperlab.predicates import DEFAULT_IDEAL_SCAN_BUDGET, _require_disjoint, _require_proper
-from conftest import SMALL_FIXTURES
+from conftest import ORACLE_INPUTS, SMALL_FIXTURES, listed_first_unfactored, oracle_structures
 
 
 def _identity_pad(a, needed, what):
@@ -435,6 +435,32 @@ def test_rows_match_oracle_on_g_mutants(name, seen):
     for mutant in seeded_g_mutants(name):
         rows |= compare_rows(mutant)
     assert seen <= rows
+
+
+def listed_factor_inside(a, mask, note):
+    ms = listed_first_unfactored(a, mask)
+    return H.Verdict(True) if ms is None else H.Verdict(False, counterexample=ms, note=note)
+
+
+def listed_is_prime(a, q):
+    _require_proper(a, q)
+    return listed_factor_inside(a, q.mask, "product lies in the hyperideal, no factor does")
+
+
+def listed_is_hyperintegral_domain(a):
+    return listed_factor_inside(a, 1 << a.zero, "nonzero zero-divisor tuple")
+
+
+@pytest.mark.parametrize("key", ORACLE_INPUTS)
+def test_primality_verdicts_match_the_listing_oracle(key):
+    # the row test with the graded witness against the list-then-min scan,
+    # on every subset of a small carrier and on the lattice otherwise
+    for a in oracle_structures(key):
+        assert H.is_hyperintegral_domain(a) == listed_is_hyperintegral_domain(a), a
+        qs = (H.ElementSet(mask, a.size) for mask in range(1 << a.size)) if a.size <= 6 \
+            else H.enumerate_hyperideals(a)
+        for q in qs:
+            assert told(H.is_prime, a, q) == told(listed_is_prime, a, q), (a, q)
 
 
 def test_one_element_carrier():
