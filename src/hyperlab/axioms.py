@@ -8,16 +8,17 @@ reported as sorted tuples.
 ASSOC_F and ASSOC_G are decided by composing translation rows (Post,
 *Polyadic groups*, 1940): the row of a (k-1)-multiset O is x -> op(O + {x}),
 equal rows are interned to one id, and a commutative operation is
-associative exactly when its distinct rows commute pairwise; the pairs that
-do not commute name the failing multisets, and only those are split.  An f
-row is composed through its image table, which sends each f-value mask to
-the union of the row over the bits of the mask.  DISTRIB is decided once
-per distinct translation row r of g, also by row images: for every
-(m-1)-multiset O, the image of f's row of O under r must equal f's row of
-sorted r(O), composed with r; the least O + {x} where they differ is the
-witness.  QUASI_SOLVABLE, REVERSIBILITY, ZERO_ABSORB and ONE_IDENTITY read
-the rows too: the structure's own (``HyperStructure.translations``), built
-at most once per structure.
+associative exactly when its distinct rows commute pairwise.  An f row is
+composed through its image table, which sends each f-value mask to the
+union of the row over the bits of the mask.  A row r of g distributes when,
+for every (m-1)-multiset O, the image of f's row of O under r equals f's
+row of sorted r(O), composed with r.  Each operation's rows have a
+generating set under composition (``core._generators``): ASSOC holds when
+the generators commute pairwise and DISTRIB when every g generator
+distributes, and REVERSIBILITY is tested once per distinct pair of rows of
+O and inv(O).  Only a failed decision runs the scan that names witnesses.
+All read the structure's rows (``HyperStructure.translations``), built at
+most once per structure.
 
 The axioms form one registry: ``HYPERGROUP_AXIOMS`` and ``G_AXIOMS`` map
 each axiom name, in check order, to a scan that yields ``(witness, detail)``
@@ -39,6 +40,7 @@ from typing import Sequence
 from .core import (
     ElementSet,
     HyperStructure,
+    _image,
     insert_sorted,
     inverse_candidates,
     multiset_splits,
@@ -69,21 +71,8 @@ def _nested_g(a: HyperStructure, inner: tuple[int, ...], outer: tuple[int, ...])
     return table[insert_sorted(outer, table[inner])]
 
 
-def _image(masks: list[int], row: tuple[int, ...]) -> tuple[int, ...]:
-    """The image table of a mask-valued ``row``: for each of ``masks``, in
-    order, the union of ``row[t]`` over the bits t of the mask."""
-    image = []
-    for mask in masks:
-        out = 0
-        while mask:
-            low = mask & -mask
-            out |= row[low.bit_length() - 1]
-            mask ^= low
-        image.append(out)
-    return tuple(image)
-
-
-def _assoc(a: HyperStructure, k: int, nested, row_of: dict, images: list, getters: list):
+def _assoc(a: HyperStructure, k: int, nested, row_of: dict, images: list, getters: list,
+           generators: list[int] | None):
     """The ASSOC witnesses of an operation of arity k, in multiset order,
     from the pairs of its distinct translation rows that do not commute.
 
@@ -104,7 +93,13 @@ def _assoc(a: HyperStructure, k: int, nested, row_of: dict, images: list, getter
     failing multiset merges the first contexts of i and j with x for some
     failing (i, j, x); the rest are listed only when a second witness is
     asked for.
+
+    Every row composes ``generators``, and composition is associative (an f
+    row preserves unions of masks), so when they commute pairwise, all rows do.
     """
+    if generators is not None and all(getters[j](images[i]) == getters[i](images[j])
+                                      for i, j in combinations(generators, 2)):
+        return
     pairs = ((i, j, gs(r), gr(s))
              for (i, (r, gr)), (j, (s, gs)) in combinations(enumerate(zip(images, getters)), 2))
     failing = [(i, j, [x for x, (u, v) in enumerate(zip(ij, ji)) if u != v])
@@ -136,13 +131,12 @@ def _split_witness(a: HyperStructure, ms: tuple[int, ...], k: int, nested):
 
 def _assoc_f(a: HyperStructure):
     t = a.translations
-    return _assoc(a, a.m, _nested_f, t.f[0], [_image(t.f_masks, r) for r in t.f[1]],
-                  t.f_getters)
+    return _assoc(a, a.m, _nested_f, t.f[0], t.f_images, t.f_getters, t.f_generators)
 
 
 def _assoc_g(a: HyperStructure):
-    row_of, rows = a.translations.g
-    return _assoc(a, a.n, _nested_g, row_of, rows, [itemgetter(*r) for r in rows])
+    t = a.translations
+    return _assoc(a, a.n, _nested_g, t.g[0], t.g[1], t.g_getters, t.g_generators)
 
 
 def _neutral(a: HyperStructure):
@@ -170,8 +164,16 @@ def _inverses(a: HyperStructure):
 
 
 def _reversibility(a: HyperStructure):
-    inv = a.inverse_map
+    """x in T_O(k) must give k in T_inv(O)(x), for O of invertible elements:
+    no k lies in the union of the complements of T_inv(O) over T_O(k).  That
+    depends only on the two row ids, so each distinct pair is tested once."""
+    inv, full = a.inverse_map, (1 << a.size) - 1
     row_of, rows = a.translations.f
+    pairs = {(i, row_of[tuple(sorted(map(inv.__getitem__, ctx)))])
+             for ctx, i in row_of.items() if inv.keys() >= set(ctx)}
+    if not any(u >> k & 1 for i, j in pairs
+               for k, u in enumerate(_image(rows[i], [~m & full for m in rows[j]]))):
+        return
     for ms in multisets(a.size, a.m):
         for x in a.f_table[ms]:
             for i, kept in enumerate(ms):
@@ -201,13 +203,11 @@ def _solvability(a: HyperStructure):
 
 def _undistributed(a: HyperStructure, row: tuple[int, ...]) -> tuple | None:
     """(ms, lhs, rhs) of the first m-multiset that g with the translation
-    row ``row`` does not distribute over, or None.
-
-    For each (m-1)-multiset O, the image of f's row of O under ``row`` is
-    x -> row(f(O + {x})), the lhs masks, and f's row of sorted row(O),
-    composed with ``row``, is x -> f(row(O + {x})), the rhs masks.  The
-    pairs (O, x) reach every m-multiset, so the first failing one is the
-    least O + {x} where the two differ.
+    row ``row`` does not distribute over, or None.  For each (m-1)-multiset
+    O, the image of f's row of O under ``row`` is x -> row(f(O + {x})), the
+    lhs masks, and f's row of sorted row(O), composed with ``row``, is
+    x -> f(row(O + {x})), the rhs masks.  The pairs (O, x) reach every
+    m-multiset, so the first failing one is the least O + {x} where they differ.
     """
     t = a.translations
     f_row_of, f_rows = t.f
@@ -220,9 +220,16 @@ def _undistributed(a: HyperStructure, row: tuple[int, ...]) -> tuple | None:
 
 
 def _distrib(a: HyperStructure):
-    # the verdict of a context depends only on its translation row of g
+    """A row r with r(f(X)) = f(r(X)) for all m-multisets X is an
+    endomorphism of (A, f), as is a composite of two, so if every g generator
+    (``core._generators``) passes, every row does.  Else rows are scanned in
+    context order, generators' verdicts reused: a failing row that is no
+    generator composes earlier ones, one of which fails first."""
     row_of, rows = a.translations.g
-    verdicts: dict[int, tuple | None] = {}
+    gens, verdicts = a.translations.g_generators, {}
+    if gens is not None and all(verdicts.setdefault(i, _undistributed(a, rows[i])) is None
+                                for i in gens):
+        return
     for ctx, i in row_of.items():
         if i not in verdicts:
             verdicts[i] = _undistributed(a, rows[i])

@@ -8,7 +8,7 @@ values is rejected at build time.
 
 Each structure owns the translation rows x -> op(O + {x}) of its two
 operations (``Translations``), built at most once, on first read, and read
-by every axiom scan and ideal question on it.
+by every axiom scan and ideal question on it, with what they derive.
 
 Carriers are capped at 64 elements and subsets are stored as bitmasks.
 """
@@ -18,8 +18,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
-from operator import itemgetter
+from functools import cached_property, reduce
+from operator import itemgetter, or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -226,13 +226,57 @@ def _translations(size: int, k: int, table: dict) -> tuple[dict, list]:
              for ctx in multisets(size, k - 1)}, list(ids))
 
 
+def _image(masks: list[int], row: tuple[int, ...]) -> tuple[int, ...]:
+    """The image table of a mask-valued ``row``: for each of ``masks``, in
+    order, the union of ``row[t]`` over the bits t of the mask."""
+    image = []
+    for mask in masks:
+        out = 0
+        while mask:
+            low = mask & -mask
+            out |= row[low.bit_length() - 1]
+            mask ^= low
+        image.append(out)
+    return tuple(image)
+
+
+def _generators(rows: list, images: list, getters: list,
+                budget: float | None = None) -> list[int] | None:
+    """Ids of a generating set of the distinct ``rows`` under composition:
+    row i after row j is ``getters[j](images[i])``, and a row is a generator
+    unless reached (a generator, or a reached row after a generator that is a
+    row).  None once the walk's compositions plus the G(G-1) of comparing its
+    G generators pass ``budget``: by default rows(rows-1)/2, half of what
+    comparing all rows takes, as a walk step costs about two of its steps."""
+    index = {row: i for i, row in enumerate(rows)}
+    budget = len(rows) * (len(rows) - 1) // 2 if budget is None else budget
+    gens, reached = [], set()
+    for g in (i for i in range(len(rows)) if i not in reached):
+        gens.append(g)
+        pending = [(e, (g,)) for e in reached] + [(g, gens)]
+        reached.add(g)
+        while pending:
+            e, after = pending.pop()
+            budget -= len(after)
+            if budget < len(gens) * (len(gens) - 1):
+                return None
+            for h in after:
+                j = index.get(getters[h](images[e]))
+                if j is not None and j not in reached:
+                    reached.add(j)
+                    pending.append((j, gens))
+    return gens
+
+
 class Translations:
-    """The f and g translation rows of one structure, each built on first
-    read.  Holds the tables, not the structure, so it makes no cycle."""
+    """The f and g translation rows of one structure and what the checks
+    derive from them, each built on first read.  Holds the tables, not the
+    structure, so it makes no cycle."""
 
     def __init__(self, a: HyperStructure) -> None:
         self.size, self.m, self.n = a.size, a.m, a.n
         self.f_table, self.g_table = a.f_table, a.g_table
+        self._support: dict[int, tuple] = {}
 
     @cached_property
     def f(self) -> tuple[dict, list]:
@@ -251,12 +295,36 @@ class Translations:
         return list(set().union(*self.f[1]))
 
     @cached_property
+    def f_images(self) -> list[tuple[int, ...]]:
+        return [_image(self.f_masks, row) for row in self.f[1]]
+
+    @cached_property
     def f_getters(self) -> list:
         """Per distinct f row, the itemgetter of its masks' positions in
         ``f_masks``: applied to an image table, it composes that table's row
         after this one."""
         position = {mask: i for i, mask in enumerate(self.f_masks)}
         return [itemgetter(*map(position.__getitem__, row)) for row in self.f[1]]
+
+    @cached_property
+    def g_getters(self) -> list:
+        return [itemgetter(*row) for row in self.g[1]]
+
+    @cached_property
+    def f_generators(self) -> list[int] | None:
+        return _generators(self.f[1], self.f_images, self.f_getters)
+
+    @cached_property
+    def g_generators(self) -> list[int] | None:
+        return _generators(self.g[1], self.g[1], self.g_getters)
+
+    def support_rows(self, values: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """(entries mask, multiset) per g-table entry valued in ``values``."""
+        if values not in self._support:
+            self._support[values] = tuple((reduce(or_, (1 << x for x in ms)), ms)
+                                          for ms, value in self.g_table.items()
+                                          if values >> value & 1)
+        return self._support[values]
 
 
 @dataclass(frozen=True, eq=True)

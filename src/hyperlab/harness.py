@@ -68,7 +68,6 @@ from .ideals import (
     scaled,  # not called here; perfbench/layers.py hooks the name at this site
     scaled_set,
     set_product,
-    support_rows,
 )
 from .predicates import (
     IGNORES_S,
@@ -438,7 +437,7 @@ def _eval_p6(ctx, q, s):
     if not associated:
         return SKIPPED, "no s in S passes the ideal-wise zero test", None
     # shared by every s: the zero products and g(kept, Q^(n - len(kept)))
-    zero_rows = sorted(support_rows(a, zero_mask), key=lambda row: graded_key(row[1]))
+    zero_rows = sorted(a.translations.support_rows(zero_mask), key=lambda r: graded_key(r[1]))
     images = {}
     checked = 0
     for cand in associated:

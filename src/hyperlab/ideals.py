@@ -18,8 +18,7 @@ Absorption, reachability, primality, the lattice's ideal products and
 scaled sets and principal hyperideals) read the structure's translation
 rows (``HyperStructure.translations``).  The lattice flags, ``is_prime`` and
 the integral-domain test ask :func:`is_prime_like`; the last two take their
-witness from :func:`first_unfactored`.  :func:`support_rows` gives each
-g-table entry valued in a mask with the mask of its entries.
+witness from :func:`first_unfactored`.
 """
 
 from __future__ import annotations
@@ -231,19 +230,6 @@ def enumerate_hyperideals(a: HyperStructure) -> IdealLattice:
     full = a.full_set().mask
     flags = tuple(q.mask != full and is_prime_like(a, q.mask) for q in found)
     return IdealLattice(a, tuple(found), flags)
-
-
-def support_rows(a: HyperStructure, values: int) -> list[tuple[int, tuple[int, ...]]]:
-    """(support mask, multiset) of each g-table entry whose value lies in the
-    mask ``values``, in table order; the support is the mask of the entries."""
-    rows = []
-    for ms, value in a.g_table.items():
-        if values >> value & 1:
-            support = 0
-            for x in ms:
-                support |= 1 << x
-            rows.append((support, ms))
-    return rows
 
 
 def is_prime_like(a: HyperStructure, mask: int) -> bool:

@@ -14,7 +14,7 @@ row exactly when the row's support meets P_s.
 
 * Element level (S-prime, weakly S-prime, and weakly prime as S = {1}):
   the rows are the g-table entries whose value lies in Q (and is nonzero
-  for the weakly variants), from ``ideals.support_rows``.  Primality and
+  for the weakly variants), from ``Translations.support_rows``.  Primality and
   the integral-domain test (primality of {0}) ask the g-row test behind
   the lattice's prime flags, ``ideals.is_prime_like``; only when it fails
   does ``ideals.first_unfactored`` look for the graded-first witness.
@@ -58,7 +58,6 @@ from .ideals import (
     first_unfactored,
     is_prime_like,
     radical,
-    support_rows,
 )
 from .verdict import Verdict
 
@@ -167,12 +166,12 @@ def _element_scan(a: HyperStructure, q: ElementSet, s: ElementSet, rows) -> Verd
 
 def is_s_prime(a: HyperStructure, q: ElementSet, s: ElementSet) -> Verdict:
     """Some s in S scales a factor of every Q-product back into Q."""
-    return _element_scan(a, q, s, support_rows(a, q.mask))
+    return _element_scan(a, q, s, a.translations.support_rows(q.mask))
 
 
 def is_weakly_s_prime(a: HyperStructure, q: ElementSet, s: ElementSet) -> Verdict:
     """As S-prime, but only nonzero Q-products qualify."""
-    return _element_scan(a, q, s, support_rows(a, q.mask & ~(1 << a.zero)))
+    return _element_scan(a, q, s, a.translations.support_rows(q.mask & ~(1 << a.zero)))
 
 
 def is_weakly_prime(a: HyperStructure, q: ElementSet) -> Verdict:
@@ -186,7 +185,8 @@ def is_weakly_prime(a: HyperStructure, q: ElementSet) -> Verdict:
             raise IdentityRequired("weakly prime needs a scalar identity when n > 2")
         return q.mask
 
-    return _one_colon_meets_all(support_rows(a, q.mask & ~(1 << a.zero)), (a.one,), colon_of)
+    rows = a.translations.support_rows(q.mask & ~(1 << a.zero))
+    return _one_colon_meets_all(rows, (a.one,), colon_of)
 
 
 def _require_budget(a: HyperStructure, lattice: IdealLattice,

@@ -1,6 +1,8 @@
 """Axiom scans, violation replay, and the iterated operations."""
 
+import functools
 import itertools
+import math
 import random
 import time
 
@@ -11,7 +13,7 @@ from hyperlab import axioms, core
 from hyperlab.axioms import AXIOM_ORDER
 from hyperlab.core import insert_sorted
 
-from conftest import VALIDATE_IDS, mutated, validate_inputs
+from conftest import ORACLE_INPUTS, VALIDATE_IDS, mutated, oracle_structures, validate_inputs
 
 VALID_FIXTURES = ("paper-2-4", "ring:Z2", "ring:Z3", "ring:Z4", "ring:Z6",
                   "ring:Z12", "ring:Z2xZ3", "ring:Z4xZ3")
@@ -220,8 +222,27 @@ def test_composition_matches_all_splits_scan(base):
     assert failed == {"ASSOC_F": {True, False}, "ASSOC_G": {True, False}}
 
 
-@pytest.mark.parametrize("op, k, size", [("g", 2, 3), ("g", 3, 2), ("g", 4, 2),
-                                         ("f", 2, 2), ("f", 3, 2)])
+def unbound_walk(monkeypatch):
+    """Lift the generator walk's composition budget: the budget sends most
+    small tables to the all-pairs route, and unbounded they are decided on
+    their generators."""
+    monkeypatch.setattr(core, "_generators",
+                        functools.partial(core._generators, budget=math.inf))
+
+
+@pytest.fixture(params=["bounded", "unbounded"])
+def walk(request, monkeypatch):
+    """The generator walk as built, then unbounded."""
+    if request.param == "unbounded":
+        unbound_walk(monkeypatch)
+    return request.param
+
+
+SMALL_TABLE_SHAPES = pytest.mark.parametrize(
+    "op, k, size", [("g", 2, 3), ("g", 3, 2), ("g", 4, 2), ("f", 2, 2), ("f", 3, 2)])
+
+
+@SMALL_TABLE_SHAPES
 def test_composition_matches_all_splits_scan_on_every_small_table(op, k, size):
     # every commutative table of one shape, so no case the row-pair listing
     # might miss is left to the seeded draw
@@ -243,6 +264,12 @@ def test_composition_matches_all_splits_scan_on_every_small_table(op, k, size):
             assert found == list(all_splits_assoc(a, k, axioms._nested_g)), table
         verdicts.add(not found)
     assert verdicts == {True, False}
+
+
+@SMALL_TABLE_SHAPES
+def test_generator_route_matches_all_splits_scan_on_every_small_table(monkeypatch, op, k, size):
+    unbound_walk(monkeypatch)
+    test_composition_matches_all_splits_scan_on_every_small_table(op, k, size)
 
 
 @pytest.mark.parametrize("name", ["paper-2-4", "ring:Z4", "ring:Z5", "ring:Z2xZ3"])
@@ -317,6 +344,166 @@ def test_row_scans_match_direct_lookups_on_mutants(base):
             if found:
                 failed.add(scan.__name__)
     assert failed >= {"_reversibility", "_solvability"}
+
+
+def _every_table(size, k, values):
+    """Every commutative table of arity k over ``size`` elements with values
+    drawn from ``values``."""
+    keys = list(itertools.combinations_with_replacement(range(size), k))
+    for row in itertools.product(values, repeat=len(keys)):
+        yield dict(zip(keys, row))
+
+
+@pytest.mark.parametrize("base, n", [("ring:Z3", 2), ("ring:Z2", 3), ("ring:Z2", 4)])
+def test_distrib_matches_per_multiset_scan_on_every_small_g_table(walk, base, n):
+    # the generator decision and its fallback against the per-multiset scan,
+    # on every g table over the carrier of base, with base's f
+    f = H.fixture(base).structure
+    verdicts = set()
+    for g_table in _every_table(f.size, n, range(f.size)):
+        a = H.HyperStructure(f.m, n, f.names, f.f_table, g_table, f.zero)
+        found = list(axioms._distrib(a))
+        assert found == list(per_multiset_distrib(a)), g_table
+        assert list(itertools.islice(axioms._distrib(a), 1)) == found[:1], g_table
+        verdicts.add(not found)
+    assert verdicts == {True, False}
+
+
+def _reversibility_cases(a, cases):
+    found = list(axioms._reversibility(a))
+    assert found == list(direct_reversibility(a)), a.f_table
+    cases.add((bool(a.inverse_map), not found))
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_reversibility_matches_direct_lookups_on_every_small_f_table(m):
+    binary = {ms: 0 for ms in itertools.combinations_with_replacement(range(2), 2)}
+    values = [H.ElementSet(mask, 2) for mask in (1, 2, 3)]
+    cases = set()
+    for f_table in _every_table(2, m, values):
+        _reversibility_cases(H.HyperStructure(m, 2, ("0", "1"), f_table, binary, 0), cases)
+    assert cases == {(True, True), (True, False), (False, True)}
+
+
+def test_reversibility_matches_direct_lookups_on_seeded_size_3_tables():
+    rng = random.Random("reversibility")
+    keys = list(itertools.combinations_with_replacement(range(3), 2))
+    binary = dict.fromkeys(keys, 0)
+    cases = set()
+    for _ in range(2000):
+        f_table = {ms: H.ElementSet(rng.randrange(1, 8), 3) for ms in keys}
+        _reversibility_cases(H.HyperStructure(2, 2, ("0", "1", "2"), f_table, binary, 0),
+                             cases)
+    assert cases == {(True, True), (True, False), (False, True)}
+
+
+def _compose_g(r, s):
+    return tuple(r[y] for y in s)
+
+
+def _compose_f(r, s):
+    return tuple(functools.reduce(lambda out, t: out | r[t], H.ElementSet(mask, len(r)), 0)
+                 for mask in s)
+
+
+def _closure(start, rows, compose):
+    """The rows reached from ``start`` by composing any two reached rows, in
+    either order, until nothing new is reached."""
+    reached = set(start)
+    while True:
+        new = {compose(r, s) for r in reached for s in reached} & rows - reached
+        if not new:
+            return reached
+        reached |= new
+
+
+@pytest.mark.parametrize("key", ORACLE_INPUTS)
+def test_generators_cover_every_row(walk, key):
+    decided = 0
+    for a in oracle_structures(key):
+        t = a.translations
+        for (_, rows), gens, compose in ((t.f, t.f_generators, _compose_f),
+                                         (t.g, t.g_generators, _compose_g)):
+            if gens is None:
+                continue
+            decided += 1
+            assert gens == sorted(set(gens)) and gens[:1] == [0]
+            assert _closure({rows[i] for i in gens}, set(rows), compose) == set(rows)
+    assert decided or walk == "bounded"
+
+
+def _min_table():
+    # g = min on ring:Z64's carrier: associative, but every row is its own
+    # generator, so the walk gives up
+    z64 = H.fixture("ring:Z64").structure
+    g = {ms: ms[0] for ms in itertools.combinations_with_replacement(range(64), 2)}
+    return H.HyperStructure(2, 2, z64.names, z64.f_table, g, z64.zero, z64.one)
+
+
+def _counting(calls, fn):
+    def call(*args):
+        calls.append(args)
+        return fn(*args)
+    return call
+
+
+def test_walk_gives_up_within_half_the_all_pairs_compositions():
+    t = _min_table().translations
+    rows, calls = t.g[1], []
+    getters = [_counting(calls, get) for get in t.g_getters]
+    assert core._generators(rows, rows, getters) is None
+    assert 0 < len(calls) <= len(rows) * (len(rows) - 1) // 2
+    assert core._generators(rows, rows, t.g_getters, budget=math.inf) == list(range(64))
+
+
+def _undistributed_counts(monkeypatch, a):
+    calls = []
+    monkeypatch.setattr(axioms, "_undistributed", _counting(calls, axioms._undistributed))
+    counts = []
+    for first in (True, False):
+        calls.clear()
+        list(itertools.islice(axioms._distrib(a), 1 if first else None))
+        counts.append(len(calls))
+    return counts
+
+
+def test_distrib_tests_no_more_rows_than_a_scan_in_context_order(monkeypatch):
+    # a failing structure: the scan in context order tests every row up to
+    # the first failing one, or every row; the generators' verdicts are
+    # reused, so neither count grows
+    z64 = H.fixture("ring:Z64").structure
+    cases = [_min_table(), *(b for _, b in _mutants(z64, seed="distrib", count=2)),
+             *(b for base in ORACLE_BASES for _, b in _mutants(ORACLE_BASES[base](), seed=base))]
+    routes, counts = set(), []
+    for a in cases:
+        rows = a.translations.g[1]
+        failing = next((i for i, row in enumerate(rows) if axioms._undistributed(a, row)), None)
+        first, full = _undistributed_counts(monkeypatch, a)
+        counts.append([first, full])
+        if failing is None:
+            assert first == full <= len(rows)
+        else:
+            assert first <= failing + 1 and full == len(rows)
+            routes.add(a.translations.g_generators is not None)
+    assert routes == {True, False}
+    assert counts[0] == [2, 64]  # the min table: the walk gave up
+
+
+def test_ring_z64_decides_on_its_generators(monkeypatch):
+    a = H.fixture("ring:Z64").structure
+    t = a.translations
+    assert (t.f_generators, t.g_generators) == ([0, 1], [0, 1, 2, 3, 5])
+    undistributed, composed = [], []
+    monkeypatch.setattr(axioms, "_undistributed", _counting(undistributed, axioms._undistributed))
+    for name in ("f_getters", "g_getters"):
+        monkeypatch.setitem(t.__dict__, name,
+                            [_counting(composed, get) for get in getattr(t, name)])
+    monkeypatch.setattr(axioms, "multiset_splits", None)  # no witness is looked for
+    assert H.check_krasner(a) == []
+    assert len(undistributed) == 5
+    # f: 2 generators; g: 5; each pair composed both ways, and each of the
+    # five DISTRIB rows composes f's 64 rows through its image table
+    assert len(composed) == 2 + 20 + 5 * 64
 
 
 def test_empty_f_value_is_reported():

@@ -9,6 +9,8 @@ import pytest
 import hyperlab as H
 import hyperlab.harness as harness
 import hyperlab.predicates as predicates
+from hyperlab import core
+from hyperlab.cli import main
 
 from conftest import BENCH_CORPUS, multiplicative_by_search, mutated
 
@@ -239,6 +241,31 @@ def test_a_corpus_prepares_each_fixture_and_cap_once(monkeypatch):
     assert len(prepared) == len(set(prepared)) == 19
     by_name = {ctx.name: ctx for ctx in corpus}
     assert by_name["ring:Z2xZ3"].factors[0] is by_name["ring:Z2xZ8"].factors[0]
+
+
+def test_a_theorems_call_walks_the_g_table_once_per_structure_and_mask(monkeypatch, capsys):
+    # the element-level predicates ask 2,333 times for the g-table entries
+    # valued in a mask, on 184 distinct (structure, mask) pairs
+    walks = []
+
+    class Table(dict):
+        def items(self):
+            walks.append(len(self))
+            return super().items()
+
+    init = core.Translations.__init__
+
+    def counting(self, a):
+        init(self, a)
+        self.g_table = Table(self.g_table)
+
+    monkeypatch.setattr(core.Translations, "__init__", counting)
+    assert main(["theorems", "--json", "--corpus", ",".join(BENCH_CORPUS)]) == 0
+    capsys.readouterr()
+    assert len(walks) == 184
+    rows = H.fixture("ring:Z6").structure.translations
+    assert isinstance(rows.support_rows(0b1), tuple)
+    assert rows.support_rows(0b1) is rows.support_rows(0b1)
 
 
 def p16_oracle(corpus):
