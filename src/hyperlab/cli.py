@@ -13,6 +13,7 @@ import json
 import os
 import re
 import sys
+from dataclasses import replace
 
 from .axioms import check_krasner
 from .constructions import fixture
@@ -97,8 +98,9 @@ def _budget(parser: argparse.ArgumentParser) -> int | None:
     raw = os.environ.get("HYPERLAB_BUDGET")
     if raw is None:
         return None
-    # int() would also take "-5", "1_000", " 12 " and non-ASCII digits
-    if not re.fullmatch(r"[0-9]+", raw):
+    # int() would also take "-5", "1_000", " 12 " and non-ASCII digits, and
+    # past 4300 digits it raises ValueError where the interpreter limits them
+    if not re.fullmatch(r"[0-9]{1,4300}", raw):
         parser.error(f"HYPERLAB_BUDGET must be a non-negative integer, got {raw!r}")
     return int(raw)
 
@@ -168,7 +170,7 @@ def cmd_validate(args, parser) -> int:
 def cmd_classify(args, parser) -> int:
     a = _resolve_structure(args, parser)
     budget = _budget(parser)
-    lattice = enumerate_hyperideals(a)
+    lattice = replace(enumerate_hyperideals(a), budget=budget)
     q = _parse_subset(a, args.ideal, parser)
     ideal_check = is_hyperideal(a, q)
     if not ideal_check.holds:
@@ -179,7 +181,7 @@ def cmd_classify(args, parser) -> int:
     if not mult_check.holds:
         raise NotMultiplicative(
             f"{s.render(a.names)} is not multiplicative: {mult_check.note}")
-    record = classify(a, q, s, lattice, budget=budget)
+    record = classify(a, q, s, lattice)
     if args.json:
         _emit_json({
             "structure": a.label,

@@ -124,7 +124,7 @@ def serialize(a: HyperStructure) -> str:
 def deserialize(text: str) -> HyperStructure:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int over the digit limit
         raise LoadError(f"not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise LoadError("document nests too deeply to parse") from exc

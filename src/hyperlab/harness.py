@@ -29,7 +29,7 @@ JSON reports are byte-identical across runs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import combinations_with_replacement
 
@@ -114,11 +114,11 @@ class Instance:
 
 @dataclass
 class StructureContext:
-    """A fixture prepared for the suite: validity scan, lattice, mult sets,
-    for a product fixture the contexts of its two factors, the run's
-    ideal-scan budget (None means the predicates' default), the memo of the
-    predicate verdicts decided on it so far (see ``_verdict``) and the
-    subsets rendered so far, by mask (see ``_render``)."""
+    """A fixture prepared for the suite: validity scan, lattice (carrying
+    the run's ideal-scan budget), mult sets, for a product fixture the
+    contexts of its two factors, the memo of the predicate verdicts decided
+    on it so far (see ``_verdict``) and the subsets rendered so far, by mask
+    (see ``_render``)."""
 
     fixture: Fixture
     violations: tuple
@@ -126,7 +126,6 @@ class StructureContext:
     lattice_error: str
     mult_sets: tuple[ElementSet, ...]
     factors: tuple[StructureContext, StructureContext] | None = None
-    budget: int | None = None
     verdicts: dict = field(default_factory=dict, repr=False, compare=False)
     rendered: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -167,7 +166,7 @@ def _prepare(fx: Fixture, mult_cap: int, budget: int | None,
     lattice, err = None, ""
     if not violations:
         try:
-            lattice = enumerate_hyperideals(fx.structure)
+            lattice = replace(enumerate_hyperideals(fx.structure), budget=budget)
         except CapacityError as exc:
             err = str(exc)
     else:
@@ -179,7 +178,7 @@ def _prepare(fx: Fixture, mult_cap: int, budget: int | None,
                         or _prepare(f, PRODUCT_MULT_SIZE_CAP, budget, prepared)
                         for f in fx.factors)
     ctx = prepared[fx.name, mult_cap] = StructureContext(
-        fx, violations, lattice, err, mult_sets, factors, budget)
+        fx, violations, lattice, err, mult_sets, factors)
     return ctx
 
 
@@ -198,8 +197,8 @@ def _render(ctx: StructureContext, subset: ElementSet) -> str:
 
 def _verdict(ctx: StructureContext, name: str, q: ElementSet,
              s: ElementSet | None = None) -> Verdict:
-    """``evaluate_predicate(name, ...)`` on the context's structure, lattice
-    and budget, decided once per context.
+    """``evaluate_predicate(name, ...)`` on the context's structure and
+    lattice (with its scan budget), decided once per context.
 
     ``name`` is a ``predicates.PREDICATES`` key, and the memo key is that
     name, Q and S, with no S for a name in ``IGNORES_S``.  The registry
@@ -220,7 +219,7 @@ def _verdict(ctx: StructureContext, name: str, q: ElementSet,
     verdict = ctx.verdicts.get(key)
     if verdict is None:
         verdict = ctx.verdicts[key] = evaluate_predicate(
-            name, ctx.structure, q, s, ctx.lattice, ctx.budget)
+            name, ctx.structure, q, s, ctx.lattice)
     return verdict
 
 
@@ -433,7 +432,7 @@ def _eval_p6(ctx, q, s):
     a = ctx.structure
     zero_mask = 1 << a.zero
     associated = [cand for cand in s
-                  if strongly_associated(a, q, cand, ctx.lattice, ctx.budget)]
+                  if strongly_associated(a, q, cand, ctx.lattice)]
     if not associated:
         return SKIPPED, "no s in S passes the ideal-wise zero test", None
     # shared by every s: the zero products and g(kept, Q^(n - len(kept)))

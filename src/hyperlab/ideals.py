@@ -18,13 +18,14 @@ Absorption, reachability, primality, the lattice's ideal products and
 scaled sets and principal hyperideals) read the structure's translation
 rows (``HyperStructure.translations``).  The lattice flags, ``is_prime`` and
 the integral-domain test ask :func:`is_prime_like`; the last two take their
-witness from :func:`first_unfactored`.
+witness from :func:`first_unfactored`.  The ideal products check the
+ideal-scan budget that the lattice carries before they are built.
 """
 
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import combinations, combinations_with_replacement
 from operator import or_
@@ -34,6 +35,7 @@ from .errors import CapacityError, IdentityRequired
 from .verdict import Verdict
 
 ENUMERATION_CAP = 1 << 20
+DEFAULT_IDEAL_SCAN_BUDGET = 10 ** 7
 
 
 def is_hyperideal(a: HyperStructure, q: ElementSet) -> Verdict:
@@ -75,11 +77,13 @@ def is_hyperideal(a: HyperStructure, q: ElementSet) -> Verdict:
 
 @dataclass(frozen=True)
 class IdealLattice:
-    """All hyperideals of one structure, ascending by (cardinality, mask)."""
+    """All hyperideals of one structure, ascending by (cardinality, mask),
+    and the scan budget of ``products`` (None: ``DEFAULT_IDEAL_SCAN_BUDGET``)."""
 
     structure: HyperStructure
     sets: tuple[ElementSet, ...]
     prime_flags: tuple[bool, ...]
+    budget: int | None = field(default=None, compare=False)
 
     def __len__(self) -> int:
         return len(self.sets)
@@ -115,10 +119,15 @@ class IdealLattice:
         interned from those of its extensions by one element (at k = n - 1,
         its row id), so a prefix's extensions share its work.
 
-        Built on first use and kept for the lattice's lifetime; it has
-        C(len + n - 1, n) rows, so callers check their scan budget first.
+        Built on first use and kept for the lattice's lifetime.  Raises
+        CapacityError before building anything when len^n exceeds the
+        lattice's budget.
         """
         a = self.structure
+        limit = DEFAULT_IDEAL_SCAN_BUDGET if self.budget is None else self.budget
+        if len(self) ** a.n > limit:
+            raise CapacityError(
+                f"{len(self)}^{a.n} ideal tuples exceed the scan budget {limit}")
         table, steps = a.translations.g[0], []
         for k in range(a.n - 1, 0, -1):
             table, step = _translations(a.size, k, table)

@@ -20,8 +20,9 @@ row exactly when the row's support meets P_s.
   does ``ideals.first_unfactored`` look for the graded-first witness.
 * Ideal level (strongly weakly S-prime, ``strongly_associated``): the rows
   are the lattice-index n-multisets whose ideal product is nonzero and
-  inside Q, read from the lattice's ``products`` table; s handles a factor
-  ideal L_i when s * L_i lies in Q, that is when L_i lies in P_s.
+  inside Q, read from the lattice's ``products`` table, which checks its
+  own cost; s handles a factor ideal L_i when s * L_i lies in Q, that is
+  when L_i lies in P_s.
 
 ``_one_colon_meets_all`` is that quantifier.  It computes P_s only once a
 qualifying row exists, so ``IdentityRequired`` stays as lazy as the
@@ -60,8 +61,6 @@ from .ideals import (
     radical,
 )
 from .verdict import Verdict
-
-DEFAULT_IDEAL_SCAN_BUDGET = 10 ** 7
 
 
 def _require_proper(a: HyperStructure, q: ElementSet) -> None:
@@ -189,14 +188,6 @@ def is_weakly_prime(a: HyperStructure, q: ElementSet) -> Verdict:
     return _one_colon_meets_all(rows, (a.one,), colon_of)
 
 
-def _require_budget(a: HyperStructure, lattice: IdealLattice,
-                    budget: int | None) -> None:
-    limit = DEFAULT_IDEAL_SCAN_BUDGET if budget is None else budget
-    if len(lattice) ** a.n > limit:
-        raise CapacityError(
-            f"{len(lattice)}^{a.n} ideal tuples exceed the scan budget {limit}")
-
-
 def _ideal_scan(a: HyperStructure, q: ElementSet, candidates,
                 lattice: IdealLattice, what: str = "tuple") -> Verdict:
     """The quantifier over lattice-index multisets whose ideal product is
@@ -214,19 +205,16 @@ def _ideal_scan(a: HyperStructure, q: ElementSet, candidates,
 
 
 def strongly_associated(a: HyperStructure, q: ElementSet, s_elt: int,
-                        lattice: IdealLattice, budget: int | None = None) -> bool:
+                        lattice: IdealLattice) -> bool:
     """Inner check of the strongly-weakly definition for one fixed s."""
-    _require_budget(a, lattice, budget)
     return bool(_ideal_scan(a, q, (s_elt,), lattice).holds)
 
 
 def is_strongly_weakly_s_prime(a: HyperStructure, q: ElementSet, s: ElementSet,
-                               lattice: IdealLattice,
-                               budget: int | None = None) -> Verdict:
+                               lattice: IdealLattice) -> Verdict:
     """Ideal-level variant: nonzero ideal products inside Q force some
     scaled factor ideal inside Q."""
     _require_disjoint(a, q, s)
-    _require_budget(a, lattice, budget)
     verdict = _ideal_scan(a, q, s.indices(), lattice, what="ideal tuple")
     if verdict.counterexample is None:
         return verdict
@@ -266,18 +254,18 @@ def is_hyperintegral_domain(a: HyperStructure) -> Verdict:
     return _factor_inside(a, 1 << a.zero, "nonzero zero-divisor tuple")
 
 
-# Every named predicate as a function of (A, Q, S, lattice, budget).  The
+# Every named predicate as a function of (A, Q, S, lattice).  The
 # lambdas look the predicates up by module name at call time, so a wrapper
 # bound over a name (for tracing, say) also sees the calls made from here.
 PREDICATES = {
-    "prime": lambda a, q, s, lattice, budget: is_prime(a, q),
-    "primary": lambda a, q, s, lattice, budget: is_primary(a, q, lattice),
-    "weakly-prime": lambda a, q, s, lattice, budget: is_weakly_prime(a, q),
-    "s-prime": lambda a, q, s, lattice, budget: is_s_prime(a, q, s),
-    "weakly-s-prime": lambda a, q, s, lattice, budget: is_weakly_s_prime(a, q, s),
-    "strongly-weakly-s-prime": lambda a, q, s, lattice, budget:
-        is_strongly_weakly_s_prime(a, q, s, lattice, budget),
-    "strongly-weakly-s-prime-colon": lambda a, q, s, lattice, budget:
+    "prime": lambda a, q, s, lattice: is_prime(a, q),
+    "primary": lambda a, q, s, lattice: is_primary(a, q, lattice),
+    "weakly-prime": lambda a, q, s, lattice: is_weakly_prime(a, q),
+    "s-prime": lambda a, q, s, lattice: is_s_prime(a, q, s),
+    "weakly-s-prime": lambda a, q, s, lattice: is_weakly_s_prime(a, q, s),
+    "strongly-weakly-s-prime": lambda a, q, s, lattice:
+        is_strongly_weakly_s_prime(a, q, s, lattice),
+    "strongly-weakly-s-prime-colon": lambda a, q, s, lattice:
         is_strongly_weakly_s_prime_colon(a, q, s),
 }
 
@@ -288,13 +276,13 @@ CLASSIFY_KEYS = tuple(PREDICATES)
 
 
 def classify(a: HyperStructure, q: ElementSet, s: ElementSet,
-             lattice: IdealLattice, budget: int | None = None) -> dict[str, Verdict]:
+             lattice: IdealLattice) -> dict[str, Verdict]:
     """All predicate verdicts at once; unevaluable ones fold into notes."""
     _require_disjoint(a, q, s)
     record = {}
     for name, predicate in PREDICATES.items():
         try:
-            record[name] = predicate(a, q, s, lattice, budget)
+            record[name] = predicate(a, q, s, lattice)
         except IdentityRequired as exc:
             record[name] = Verdict(None, note=f"identity required: {exc}")
         except CapacityError as exc:
@@ -320,13 +308,13 @@ def chain_violations(record: dict[str, Verdict]) -> list[str]:
 
 
 def evaluate_predicate(name: str, a: HyperStructure, q: ElementSet, s: ElementSet,
-                       lattice: IdealLattice, budget: int | None = None) -> Verdict:
+                       lattice: IdealLattice) -> Verdict:
     """Single-predicate dispatch using the classify record keys."""
     try:
         predicate = PREDICATES[name]
     except KeyError:
         raise ValueError(f"unknown predicate {name!r}") from None
-    return predicate(a, q, s, lattice, budget)
+    return predicate(a, q, s, lattice)
 
 
 def multiplicative_subsets(a: HyperStructure, max_size: int) -> list[ElementSet]:

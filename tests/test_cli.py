@@ -296,8 +296,10 @@ class TestBudget:
         code, _, err = run_cli(capsys, "theorems", "--corpus", "none")
         assert code == 2
 
-    # each of these int() accepts; "\u0663" is an Arabic-Indic three
-    @pytest.mark.parametrize("raw", ["-5", "1_000", " 12 ", "\u0663"])
+    # each of these int() accepts, the last only where the interpreter has
+    # no int-digit limit; "\u0663" is an Arabic-Indic three
+    @pytest.mark.parametrize("raw", ["-5", "1_000", " 12 ", "\u0663",
+                                     pytest.param("9" * 5000, id="5000-digits")])
     def test_budget_takes_only_ascii_digits(self, capsys, monkeypatch, raw):
         monkeypatch.setenv("HYPERLAB_BUDGET", raw)
         code, _, err = run_cli(capsys, "theorems", "--corpus", "none")

@@ -5,6 +5,7 @@ import json
 import pytest
 
 import hyperlab as H
+from hyperlab.cli import main
 
 ROUND_TRIP = ["paper-2-4", "paper-3-3", "ring:Z4", "ring:Z6", "ring:Z2xZ3"]
 
@@ -128,6 +129,16 @@ def test_malformed_headers_rejected():
 def test_not_json_rejected():
     with pytest.raises(H.LoadError, match="not valid JSON"):
         H.deserialize("{truncated")
+
+
+def test_a_5000_digit_integer_exits_2(tmp_path, capsys):
+    # json refuses it past the interpreter's int-digit limit; without that
+    # limit the header check refuses the arity
+    text = H.serialize(H.fixture("ring:Z4").structure)
+    path = tmp_path / "huge.json"
+    path.write_text(text.replace('"m": 2', '"m": ' + "9" * 5000))
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_non_object_document_rejected():

@@ -156,8 +156,7 @@ class TestVerdictMemo:
         memoised = H.run_suite(["ring:Z2xZ4"])
 
         def undecided(ctx, name, q, s=None):
-            return H.evaluate_predicate(name, ctx.structure, q, s, ctx.lattice,
-                                        ctx.budget)
+            return H.evaluate_predicate(name, ctx.structure, q, s, ctx.lattice)
 
         monkeypatch.setattr(harness, "_verdict", undecided)
         assert H.run_suite(["ring:Z2xZ4"]) == memoised
@@ -313,7 +312,7 @@ def search_oracle(corpus, holds, fails):
         a = ctx.structure
         for q, s in harness._qs_pairs(ctx):
             try:
-                pos, neg = (H.evaluate_predicate(name, a, q, s, ctx.lattice, ctx.budget)
+                pos, neg = (H.evaluate_predicate(name, a, q, s, ctx.lattice)
                             for name in (holds, fails))
             except (H.IdentityRequired, H.CapacityError, H.NotProper,
                     H.DisjointnessViolated):

@@ -23,8 +23,8 @@ import pytest
 import hyperlab as H
 from hyperlab.core import graded_multisets, multiset_splits, multisets, sorted_key
 from hyperlab.harness import _eval_p6, _eval_p10
-from hyperlab.ideals import colon_mask
-from hyperlab.predicates import DEFAULT_IDEAL_SCAN_BUDGET, _require_disjoint, _require_proper
+from hyperlab.ideals import DEFAULT_IDEAL_SCAN_BUDGET, colon_mask
+from hyperlab.predicates import _require_disjoint, _require_proper
 from conftest import ORACLE_INPUTS, SMALL_FIXTURES, listed_first_unfactored, oracle_structures
 
 
@@ -315,7 +315,7 @@ def oracle_eval_p6(ctx, q, s):
     a = ctx.structure
     zero_mask = 1 << a.zero
     associated = [cand for cand in s
-                  if H.strongly_associated(a, q, cand, ctx.lattice, ctx.budget)]
+                  if H.strongly_associated(a, q, cand, ctx.lattice)]
     if not associated:
         return "SKIPPED", "no s in S passes the ideal-wise zero test", None
     checked = 0
@@ -345,7 +345,7 @@ def oracle_eval_p6(ctx, q, s):
 
 def oracle_eval_p10(ctx, q, s):
     a = ctx.structure
-    direct = H.is_strongly_weakly_s_prime(a, q, s, ctx.lattice, ctx.budget)
+    direct = H.is_strongly_weakly_s_prime(a, q, s, ctx.lattice)
     via_colon = oracle_colon_route(a, q, s)
     cert = {"direct": bool(direct.holds), "colon": bool(via_colon.holds)}
     if bool(direct.holds) == bool(via_colon.holds):

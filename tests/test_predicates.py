@@ -1,8 +1,10 @@
 """Prime-type predicates: frozen verdicts, error contracts, and
 randomized agreement with independent oracles."""
 
+import inspect
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -100,16 +102,17 @@ class TestPreconditions:
         with pytest.raises(H.CapacityError):
             H.is_strongly_weakly_s_prime(
                 z12, z12.subset([0]), z12.subset([1]),
-                lattices[z12.label], budget=1)
+                replace(lattices[z12.label], budget=1))
 
     def test_budget_gate_comes_before_the_product_table(self, z12):
-        lattice = H.enumerate_hyperideals(z12)
+        lattice = replace(H.enumerate_hyperideals(z12), budget=1)
         q, s = z12.subset([0]), z12.subset([1])
         with pytest.raises(H.CapacityError):
-            H.is_strongly_weakly_s_prime(z12, q, s, lattice, budget=1)
+            H.is_strongly_weakly_s_prime(z12, q, s, lattice)
         with pytest.raises(H.CapacityError):
-            H.strongly_associated(z12, q, 1, lattice, budget=1)
+            H.strongly_associated(z12, q, 1, lattice)
         assert "products" not in vars(lattice)
+        lattice = replace(lattice, budget=None)
         H.strongly_associated(z12, q, 1, lattice)
         assert len(vars(lattice)["products"]) == 21  # C(6 + 1, 2) index pairs
 
@@ -137,6 +140,21 @@ class TestClassify:
         record = H.classify(z12, z12.subset([0, 6]), z12.subset([1]),
                             lattices[z12.label])
         assert H.chain_violations(record) == []
+
+    def test_the_lattice_carries_the_ideal_scan_budget(self, z12, lattices):
+        q, s = z12.subset([0]), z12.subset([1])
+        tight = replace(lattices[z12.label], budget=1)
+        message = "6^2 ideal tuples exceed the scan budget 1"
+        record = H.classify(z12, q, s, tight)
+        assert record["strongly-weakly-s-prime"] == H.Verdict(None, note=f"capacity: {message}")
+        with pytest.raises(H.CapacityError) as raised:
+            H.strongly_associated(z12, q, 1, tight)
+        assert str(raised.value) == message
+        unlimited = H.classify(z12, q, s, lattices[z12.label])
+        assert {k: v for k, v in record.items() if k != "strongly-weakly-s-prime"} \
+            == {k: v for k, v in unlimited.items() if k != "strongly-weakly-s-prime"}
+        for fn in (*PREDICATES.values(), H.classify, H.evaluate_predicate):
+            assert "budget" not in inspect.signature(fn).parameters
 
 
 def walk_inputs():
@@ -291,11 +309,11 @@ def test_ignores_s_names_the_predicates_that_run_without_s(z12, lattices):
     without_s = {}
     for name, predicate in PREDICATES.items():
         try:
-            without_s[name] = [predicate(z12, q, None, lat, None) for q in lat.proper()]
+            without_s[name] = [predicate(z12, q, None, lat) for q in lat.proper()]
         except H.EmptyArgumentError:
             pass
     assert set(without_s) == IGNORES_S
     for name in IGNORES_S:
         for s in H.multiplicative_subsets(z12, 3):
-            assert [PREDICATES[name](z12, q, s, lat, None)
+            assert [PREDICATES[name](z12, q, s, lat)
                     for q in lat.proper()] == without_s[name], (name, s)
