@@ -21,21 +21,23 @@ All read the structure's rows (``HyperStructure.translations``), built at
 most once per structure.
 
 The axioms form one registry: ``HYPERGROUP_AXIOMS`` and ``G_AXIOMS`` map
-each axiom name, in check order, to a scan that yields ``(witness, detail)``
-pairs in lexicographic witness order, and ``AXIOM_ORDER`` is their keys.
-Violations therefore come back in a fixed order (axiom order, then witness
-order).  The scans are generators, so ``first_violation`` stops inside the
-first failing scan, at its first witness.  Every violation can be re-checked
-against the structure with :func:`replay`.
+each axiom name, in check order, to an :class:`Axiom` entry holding its
+scan, its witness shape and its replay, and ``AXIOM_ORDER`` is their keys.
+A scan yields ``(witness, detail)`` pairs in lexicographic witness order, so
+violations come back in a fixed order (axiom order, then witness order).
+The scans are generators, so ``first_violation`` stops inside the first
+failing scan, at its first witness.  :func:`replay` re-checks a violation
+against the structure: it parses the witness by its entry's shape and calls
+the entry's replay.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from itertools import combinations, islice
 from operator import itemgetter, or_
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .core import (
     ElementSet,
@@ -129,6 +131,16 @@ def _split_witness(a: HyperStructure, ms: tuple[int, ...], k: int, nested):
             f"{names(ms)} give different results")
 
 
+def _split_fails(nested, a: HyperStructure, ms: tuple[int, ...], left: tuple[int, ...],
+                 right: tuple[int, ...]) -> bool:
+    """Whether nesting ``left`` and ``right`` inside ``ms`` differ; False
+    when either is not a sub-multiset of ``ms``."""
+    outer_left, outer_right = _rest(ms, left), _rest(ms, right)
+    if outer_left is None or outer_right is None:
+        return False  # not a split of ms
+    return nested(a, left, outer_left) != nested(a, right, outer_right)
+
+
 def _assoc_f(a: HyperStructure):
     t = a.translations
     return _assoc(a, a.m, _nested_f, t.f[0], t.f_images, t.f_getters, t.f_generators)
@@ -152,6 +164,11 @@ def _neutral(a: HyperStructure):
     for e in range(a.size):
         if e != a.zero and _is_scalar_neutral(a, e):
             yield (e,), f"{a.names[e]} is a second scalar neutral besides zero"
+
+
+def _neutral_fails(a: HyperStructure, e: int) -> bool:
+    return (a.eval_f((e,) + (a.zero,) * (a.m - 1)).mask != 1 << e
+            or (e != a.zero and _is_scalar_neutral(a, e)))
 
 
 def _inverses(a: HyperStructure):
@@ -187,6 +204,14 @@ def _reversibility(a: HyperStructure):
                     yield ((ms, x, i),
                            f"{a.names[x]} lies in f{a.render_elements(ms)} but "
                            f"{a.names[kept]} is not recoverable from position {i}")
+
+
+def _reversibility_fails(a: HyperStructure, ms: tuple[int, ...], x: int, i: int) -> bool:
+    inv = a.inverse_map
+    others = ms[:i] + ms[i + 1:]
+    if x not in a.f_table[ms] or any(o not in inv for o in others):
+        return False
+    return ms[i] not in a.eval_f((x, *(inv[o] for o in others)))
 
 
 def _solvability(a: HyperStructure):
@@ -241,6 +266,11 @@ def _distrib(a: HyperStructure):
                    f"expected {ElementSet(rhs, a.size).render(a.names)}")
 
 
+def _distrib_fails(a: HyperStructure, ctx: tuple[int, ...], ms: tuple[int, ...]) -> bool:
+    lhs = reduce(or_, (1 << a.eval_g(ctx + (t,)) for t in a.f_table[ms]), 0)
+    return lhs != a.eval_f([a.eval_g(ctx + (x,)) for x in ms]).mask
+
+
 def _zero_absorb(a: HyperStructure):
     row_of, rows = a.translations.g
     for ctx, i in row_of.items():
@@ -258,28 +288,47 @@ def _one_identity(a: HyperStructure):
             yield (x,), f"g({a.names[x]}, one^{a.n - 1}) = {a.names[got]}, expected {a.names[x]}"
 
 
-# axiom name -> scan, in check order: the canonical m-ary hypergroup (A, f),
+@dataclass(frozen=True)
+class Axiom:
+    """One registry entry.  ``scan(a)`` yields ``(witness, detail)`` pairs in
+    witness order.  ``shape(m, n)`` gives per witness part the size of a
+    multiset of carrier indices, or "x" for one carrier index, or "i" for a
+    position in an m-multiset.  ``replay(a, *parts)`` re-checks a witness of
+    that shape, its multisets sorted; True means it still fails."""
+
+    scan: Callable
+    shape: Callable[[int, int], tuple]
+    replay: Callable[..., bool]
+
+
+# axiom name -> entry, in check order: the canonical m-ary hypergroup (A, f),
 # then the g-side axioms of a Krasner (m, n)-hyperring
 HYPERGROUP_AXIOMS = {
-    "NEUTRAL": _neutral,
-    "INVERSE_UNIQUE": _inverses,
-    "ASSOC_F": _assoc_f,
-    "REVERSIBILITY": _reversibility,
-    "QUASI_SOLVABLE": _solvability,
+    "NEUTRAL": Axiom(_neutral, lambda m, n: ("x",), _neutral_fails),
+    "INVERSE_UNIQUE": Axiom(_inverses, lambda m, n: ("x",),
+                            lambda a, x: len(inverse_candidates(a, x)) != 1),
+    "ASSOC_F": Axiom(_assoc_f, lambda m, n: (2 * m - 1, m, m), partial(_split_fails, _nested_f)),
+    "REVERSIBILITY": Axiom(_reversibility, lambda m, n: (m, "x", "i"), _reversibility_fails),
+    "QUASI_SOLVABLE": Axiom(
+        _solvability, lambda m, n: (m - 1, "x"),
+        lambda a, ctx, b: all(b not in a.eval_f(ctx + (x,)) for x in range(a.size))),
 }
 G_AXIOMS = {
-    "ASSOC_G": _assoc_g,
-    "DISTRIB": _distrib,
-    "ZERO_ABSORB": _zero_absorb,
-    "ONE_IDENTITY": _one_identity,
+    "ASSOC_G": Axiom(_assoc_g, lambda m, n: (2 * n - 1, n, n), partial(_split_fails, _nested_g)),
+    "DISTRIB": Axiom(_distrib, lambda m, n: (n - 1, m), _distrib_fails),
+    "ZERO_ABSORB": Axiom(_zero_absorb, lambda m, n: (n - 1,),
+                         lambda a, ctx: a.eval_g(ctx + (a.zero,)) != a.zero),
+    "ONE_IDENTITY": Axiom(
+        _one_identity, lambda m, n: ("x",),
+        lambda a, x: a.one is not None and a.eval_g([x] + [a.one] * (a.n - 1)) != x),
 }
 AXIOM_ORDER = (*HYPERGROUP_AXIOMS, *G_AXIOMS)
 
 
 def _scan(a: HyperStructure, axioms: dict, first: bool) -> list[AxiomViolation]:
     found = (AxiomViolation(axiom, witness, detail)
-             for axiom, scan in axioms.items()
-             for witness, detail in scan(a))
+             for axiom, entry in axioms.items()
+             for witness, detail in entry.scan(a))
     return list(islice(found, 1 if first else None))
 
 
@@ -303,75 +352,22 @@ def replay(a: HyperStructure, violation: AxiomViolation) -> bool:
     A witness whose parts do not have the shape its axiom reports (wrong
     count, wrong arity, or an index outside the carrier) is False.
     """
-    ax = violation.axiom
-    w = _parse_witness(a, ax, violation.witness)
-    if w is None:
-        return False
-    if ax == "NEUTRAL":
-        (e,) = w
-        value = a.f_table[tuple(sorted((e,) + (a.zero,) * (a.m - 1)))]
-        if value.mask != 1 << e:
-            return True
-        return e != a.zero and _is_scalar_neutral(a, e)
-    if ax == "INVERSE_UNIQUE":
-        return len(inverse_candidates(a, w[0])) != 1
-    if ax in ("ASSOC_F", "ASSOC_G"):
-        ms, left, right = w
-        nested = _nested_f if ax == "ASSOC_F" else _nested_g
-        outer_left, outer_right = _rest(ms, left), _rest(ms, right)
-        if outer_left is None or outer_right is None:
-            return False  # not a split of ms
-        return nested(a, left, outer_left) != nested(a, right, outer_right)
-    if ax == "REVERSIBILITY":
-        ms, x, i = w
-        inv = a.inverse_map
-        others = ms[:i] + ms[i + 1:]
-        if x not in a.f_table[ms] or any(o not in inv for o in others):
-            return False
-        args = tuple(sorted((x,) + tuple(inv[o] for o in others)))
-        return ms[i] not in a.f_table[args]
-    if ax == "QUASI_SOLVABLE":
-        ctx, b = w
-        return all(b not in a.f_table[insert_sorted(ctx, x)] for x in range(a.size))
-    if ax == "DISTRIB":
-        ctx, ms = w
-        lhs = 0
-        for t in a.f_table[ms]:
-            lhs |= 1 << a.g_table[insert_sorted(ctx, t)]
-        rhs = a.f_table[tuple(sorted(a.g_table[insert_sorted(ctx, x)] for x in ms))].mask
-        return lhs != rhs
-    if ax == "ZERO_ABSORB":
-        (ctx,) = w
-        return a.g_table[insert_sorted(ctx, a.zero)] != a.zero
-    (x,) = w  # ONE_IDENTITY
-    if a.one is None:
-        return False
-    return a.g_table[tuple(sorted((x,) + (a.one,) * (a.n - 1)))] != x
+    entry = HYPERGROUP_AXIOMS.get(violation.axiom) or G_AXIOMS.get(violation.axiom)
+    if entry is None:
+        raise ValueError(f"unknown axiom tag {violation.axiom!r}")
+    parts = _parse_witness(a, entry.shape(a.m, a.n), violation.witness)
+    return parts is not None and entry.replay(a, *parts)
 
 
-def _parse_witness(a: HyperStructure, axiom: str, witness) -> tuple | None:
-    """``witness`` with its multisets sorted, when its parts have the shape
-    that ``axiom`` reports; None otherwise.
-
-    A shape gives per part the size of a multiset of carrier indices, or
-    "x" for one carrier index, or "i" for a position in an m-multiset.
-    """
-    m, n = a.m, a.n
-    shapes = {
-        "NEUTRAL": ("x",), "INVERSE_UNIQUE": ("x",),
-        "ASSOC_F": (2 * m - 1, m, m), "REVERSIBILITY": (m, "x", "i"),
-        "QUASI_SOLVABLE": (m - 1, "x"), "ASSOC_G": (2 * n - 1, n, n),
-        "DISTRIB": (n - 1, m), "ZERO_ABSORB": (n - 1,), "ONE_IDENTITY": ("x",),
-    }
-    if axiom not in shapes:
-        raise ValueError(f"unknown axiom tag {axiom!r}")
-    shape = shapes[axiom]
+def _parse_witness(a: HyperStructure, shape: tuple, witness) -> tuple | None:
+    """``witness`` with its multisets sorted, when its parts have ``shape``
+    (see :class:`Axiom`); None otherwise."""
     if not isinstance(witness, tuple) or len(witness) != len(shape):
         return None
     out = []
     for part, kind in zip(witness, shape):
         if kind in ("x", "i"):
-            if not _is_index(part, a.size if kind == "x" else m):
+            if not _is_index(part, a.size if kind == "x" else a.m):
                 return None
             out.append(part)
         elif (isinstance(part, (tuple, list)) and len(part) == kind

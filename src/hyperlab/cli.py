@@ -56,6 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--fixture", help="built-in structure name")
 
     p_validate = sub.add_parser("validate", help="run the axiom checks")
+    p_validate.set_defaults(run=cmd_validate)
     add_source(p_validate)
     p_validate.add_argument("--first-violation", action="store_true",
                             help="stop at the first violation")
@@ -63,6 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_classify = sub.add_parser("classify",
                                 help="evaluate all predicates on (Q, S)")
+    p_classify.set_defaults(run=cmd_classify)
     add_source(p_classify)
     p_classify.add_argument("--ideal", required=True,
                             help="comma-separated element names")
@@ -71,21 +73,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_classify.add_argument("--json", action="store_true")
 
     p_ideals = sub.add_parser("ideals", help="enumerate all hyperideals")
+    p_ideals.set_defaults(run=cmd_ideals)
     add_source(p_ideals)
     p_ideals.add_argument("--json", action="store_true")
 
     def add_corpus(p):
-        p.add_argument("--corpus",
-                       help="comma-separated fixture names, or 'none'")
-        p.add_argument("--default-corpus", action="store_true",
-                       help="use the built-in corpus")
+        p.add_argument("--corpus", help="comma-separated fixture names, or "
+                                        "'none'; the built-in corpus if omitted")
 
     p_theorems = sub.add_parser("theorems", help="run the statement suite")
+    p_theorems.set_defaults(run=cmd_theorems)
     add_corpus(p_theorems)
     p_theorems.add_argument("--json", action="store_true")
 
     p_search = sub.add_parser("search",
                               help="find (A, Q, S) separating two predicates")
+    p_search.set_defaults(run=cmd_search)
     p_search.add_argument("--holds", required=True, choices=CLASSIFY_KEYS)
     p_search.add_argument("--fails", required=True, choices=CLASSIFY_KEYS)
     add_corpus(p_search)
@@ -101,7 +104,8 @@ def _budget(parser: argparse.ArgumentParser) -> int | None:
     # int() would also take "-5", "1_000", " 12 " and non-ASCII digits, and
     # past 4300 digits it raises ValueError where the interpreter limits them
     if not re.fullmatch(r"[0-9]{1,4300}", raw):
-        parser.error(f"HYPERLAB_BUDGET must be a non-negative integer, got {raw!r}")
+        shown = repr(raw) if len(raw) <= 40 else f"{raw[:40]!r}... ({len(raw)} characters)"
+        parser.error(f"HYPERLAB_BUDGET must be a non-negative integer, got {shown}")
     return int(raw)
 
 
@@ -116,9 +120,7 @@ def _resolve_structure(args, parser: argparse.ArgumentParser) -> HyperStructure:
 
 
 def _corpus_names(args, parser: argparse.ArgumentParser) -> list[str]:
-    if args.default_corpus and args.corpus:
-        parser.error("--corpus and --default-corpus are mutually exclusive")
-    if args.default_corpus or args.corpus is None:
+    if args.corpus is None:
         return list(DEFAULT_CORPUS)
     if args.corpus.strip() == "none":
         return []
@@ -243,15 +245,6 @@ def cmd_search(args, parser) -> int:
     return 0
 
 
-_COMMANDS = {
-    "validate": cmd_validate,
-    "classify": cmd_classify,
-    "ideals": cmd_ideals,
-    "theorems": cmd_theorems,
-    "search": cmd_search,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -259,7 +252,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args, parser)
+        return args.run(args, parser)
     except SystemExit as exc:
         # parser.error inside a command
         return int(exc.code or 0)

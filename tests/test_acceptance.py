@@ -139,7 +139,7 @@ def test_c09_product_equivalence(default_suite):
 
 
 def test_c10_deterministic_reports(capsys):
-    argv = ["theorems", "--default-corpus", "--json"]
+    argv = ["theorems", "--json"]
     assert main(argv) == 0
     first = capsys.readouterr().out
     assert main(argv) == 0

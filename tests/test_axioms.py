@@ -1,5 +1,6 @@
 """Axiom scans, violation replay, and the iterated operations."""
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -91,7 +92,8 @@ def test_first_violation_stops_inside_the_first_failing_scan(monkeypatch, z6):
         raise AssertionError("scanned an axiom after the first violation")
 
     for name in list(axioms.G_AXIOMS)[1:]:  # every g-side axiom after ASSOC_G
-        monkeypatch.setitem(axioms.G_AXIOMS, name, unreachable)
+        monkeypatch.setitem(axioms.G_AXIOMS, name,
+                            dataclasses.replace(axioms.G_AXIOMS[name], scan=unreachable))
     splits.clear()
     assert H.check_krasner(broken, first_violation=True) == full[:1]
     # ASSOC_G stopped at its first witness, not after its whole scan
@@ -200,10 +202,11 @@ def per_multiset_distrib(a):
 
 
 # the registry with ASSOC and DISTRIB scanned multiset by multiset
-ORACLE_AXIOMS = {**axioms.HYPERGROUP_AXIOMS, **axioms.G_AXIOMS,
-                 "ASSOC_F": lambda a: all_splits_assoc(a, a.m, axioms._nested_f),
-                 "ASSOC_G": lambda a: all_splits_assoc(a, a.n, axioms._nested_g),
-                 "DISTRIB": per_multiset_distrib}
+ORACLE_SCANS = {"ASSOC_F": lambda a: all_splits_assoc(a, a.m, axioms._nested_f),
+                "ASSOC_G": lambda a: all_splits_assoc(a, a.n, axioms._nested_g),
+                "DISTRIB": per_multiset_distrib}
+ORACLE_AXIOMS = {name: dataclasses.replace(entry, scan=ORACLE_SCANS.get(name, entry.scan))
+                 for name, entry in {**axioms.HYPERGROUP_AXIOMS, **axioms.G_AXIOMS}.items()}
 
 
 @pytest.mark.parametrize("base", [*ORACLE_BASES, "ring:Z12", "ring:Z2xZ6"])
@@ -594,6 +597,45 @@ def test_assoc_splits_only_the_multisets_it_reports(monkeypatch, square):
     assoc = [v.witness[0] for v in full if v.axiom == "ASSOC_G"]
     assert full[0] == first and len(assoc) > 1
     assert split == assoc
+
+
+# (axiom, base, operation, sorted key, new value): a one-entry mutant that
+# check_krasner reports under that axiom, on a (2,2) and a (2,4) base
+REPLAY_MUTANTS = (
+    ("NEUTRAL", "ring:Z6", "f", (0, 0), (0, 1)),
+    ("INVERSE_UNIQUE", "ring:Z6", "f", (1, 1), (0, 1, 2)),
+    ("ASSOC_F", "ring:Z6", "f", (3, 3), (0, 3)),
+    ("REVERSIBILITY", "ring:Z6", "f", (1, 1), (1, 2)),
+    ("QUASI_SOLVABLE", "ring:Z6", "f", (1, 1), (1,)),
+    ("ASSOC_G", "ring:Z6", "g", (2, 2), 0),
+    ("DISTRIB", "ring:Z6", "g", (3, 3), 0),
+    ("ZERO_ABSORB", "ring:Z6", "g", (0, 3), 3),
+    ("ONE_IDENTITY", "ring:Z6", "g", (1, 1), 0),
+    ("NEUTRAL", "paper-2-4", "f", (0, 1), (0, 1)),
+    ("INVERSE_UNIQUE", "paper-2-4", "f", (2, 3), (0, 1)),
+    ("ASSOC_F", "paper-2-4", "f", (1, 1), (0,)),
+    ("REVERSIBILITY", "paper-2-4", "f", (1, 2), (2, 3)),
+    ("QUASI_SOLVABLE", "paper-2-4", "f", (1, 2), (2,)),
+    ("ASSOC_G", "paper-2-4", "g", (1, 1, 1, 1), 2),
+    ("DISTRIB", "paper-2-4", "g", (1, 1, 1, 1), 1),
+    ("ZERO_ABSORB", "paper-2-4", "g", (0, 0, 0, 0), 1),
+)
+
+
+def test_every_axiom_has_a_replay_mutant():
+    assert {row[0] for row in REPLAY_MUTANTS} == set(AXIOM_ORDER)
+
+
+@pytest.mark.parametrize("axiom, base, op, key, value", REPLAY_MUTANTS,
+                         ids=[f"{axiom}-{base}" for axiom, base, *_ in REPLAY_MUTANTS])
+def test_witnesses_replay_on_the_mutant_and_not_on_its_base(axiom, base, op, key, value):
+    a = H.fixture(base).structure
+    broken = mutated(a, **{f"{op}_key": key, f"{op}_value": value})
+    found = H.check_krasner(broken)
+    assert axiom in {v.axiom for v in found}
+    for v in found:
+        assert H.replay(broken, v) is True, v
+        assert H.replay(a, v) is False, v
 
 
 class TestPrintedTablesDiscrepancy:

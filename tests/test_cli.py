@@ -242,11 +242,6 @@ class TestTheorems:
         assert (code, err) == (0, "")
         assert "64-element cap" in out
 
-    def test_corpus_flags_exclusive(self, capsys):
-        code, _, _ = run_cli(capsys, "theorems", "--corpus", "none",
-                             "--default-corpus")
-        assert code == 2
-
 
 class TestSearch:
     def test_finds_separation(self, capsys):
@@ -299,12 +294,21 @@ class TestBudget:
     # each of these int() accepts, the last only where the interpreter has
     # no int-digit limit; "\u0663" is an Arabic-Indic three
     @pytest.mark.parametrize("raw", ["-5", "1_000", " 12 ", "\u0663",
+                                     pytest.param("-" + "9" * 39, id="40-characters"),
+                                     pytest.param("-" + "9" * 40, id="41-characters"),
                                      pytest.param("9" * 5000, id="5000-digits")])
     def test_budget_takes_only_ascii_digits(self, capsys, monkeypatch, raw):
         monkeypatch.setenv("HYPERLAB_BUDGET", raw)
         code, _, err = run_cli(capsys, "theorems", "--corpus", "none")
         assert code == 2
         assert "HYPERLAB_BUDGET must be a non-negative integer" in err
+        # the value is echoed whole up to 40 characters; past that, its first
+        # 40 and its length
+        if len(raw) <= 40:
+            assert err.endswith(f"integer, got {raw!r}\n")
+        else:
+            assert err.endswith(f"integer, got {raw[:40]!r}... ({len(raw)} characters)\n")
+            assert len(err) < 300
 
 
 def test_module_entry_point():
