@@ -43,10 +43,10 @@ from .core import (
     ElementSet,
     HyperStructure,
     _image,
-    insert_sorted,
     inverse_candidates,
     multiset_splits,
     multisets,
+    sorted_key,
 )
 from .errors import ArityError
 
@@ -64,13 +64,13 @@ def _nested_f(a: HyperStructure, inner: tuple[int, ...], outer: tuple[int, ...])
     mask = 0
     table = a.f_table
     for t in table[inner]:
-        mask |= table[insert_sorted(outer, t)].mask
+        mask |= table[sorted_key(outer + (t,))].mask
     return mask
 
 
 def _nested_g(a: HyperStructure, inner: tuple[int, ...], outer: tuple[int, ...]) -> int:
     table = a.g_table
-    return table[insert_sorted(outer, table[inner])]
+    return table[sorted_key(outer + (table[inner],))]
 
 
 def _assoc(a: HyperStructure, k: int, nested, row_of: dict, images: list, getters: list,
@@ -240,7 +240,7 @@ def _undistributed(a: HyperStructure, row: tuple[int, ...]) -> tuple | None:
     getters, after, at = t.f_getters, itemgetter(*row), row.__getitem__
     pairs = ((ctx, getters[i](image), after(f_rows[f_row_of[tuple(sorted(map(at, ctx)))]]))
              for ctx, i in f_row_of.items())
-    return min(((insert_sorted(ctx, x), u, v) for ctx, lhs, rhs in pairs if lhs != rhs
+    return min(((sorted_key(ctx + (x,)), u, v) for ctx, lhs, rhs in pairs if lhs != rhs
                 for x, (u, v) in enumerate(zip(lhs, rhs)) if u != v), default=None)
 
 

@@ -7,8 +7,8 @@ construction; supplying two permutations of one multiset with different
 values is rejected at build time.
 
 Each structure owns the translation rows x -> op(O + {x}) of its two
-operations (``Translations``), built at most once, on first read, and read
-by every axiom scan and ideal question on it, with what they derive.
+operations (``Translations``), built once on first read by one walk of each
+table; every check and ideal question on it reads them and what they derive.
 
 Carriers are capped at 64 elements and subsets are stored as bitmasks.
 """
@@ -123,20 +123,6 @@ def sorted_key(args: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(args))
 
 
-def insert_sorted(sorted_args: Sequence[int], value: int) -> tuple[int, ...]:
-    """Sorted tuple with one extra value merged in."""
-    out = []
-    placed = False
-    for a in sorted_args:
-        if not placed and value <= a:
-            out.append(value)
-            placed = True
-        out.append(a)
-    if not placed:
-        out.append(value)
-    return tuple(out)
-
-
 def multisets(universe: int, k: int) -> Iterator[tuple[int, ...]]:
     """All sorted k-multisets over ``range(universe)`` in lexicographic order."""
     return itertools.combinations_with_replacement(range(universe), k)
@@ -213,17 +199,29 @@ def inverse_candidates(a: "HyperStructure", x: int) -> tuple[int, ...]:
                  if a.zero in a.f_table[tuple(sorted((x, y) + pad))])
 
 
-def _translations(size: int, k: int, table: dict) -> tuple[dict, list]:
+def _translations(size: int, k: int, items: Iterable[tuple]) -> tuple[dict, list]:
     """Translation rows of an operation table of arity k with int values.
 
     The row of a (k-1)-multiset O is ``x -> table[O + {x}]`` over the
-    carrier; equal rows are interned to one id.  Returns ``({O: id}, rows)``
-    with ``rows[id]`` the row as a tuple, contexts in lexicographic order.
+    carrier, filled by one walk of the table's (sorted key, value) ``items``:
+    each key gives its value to the row of the key less one copy of x, for
+    each distinct entry x.  Equal rows are interned to one id.  Returns
+    ``({O: id}, rows)`` with ``rows[id]`` the row as a tuple, contexts in
+    lexicographic order; a multiset missing from ``items`` raises KeyError.
     """
+    rows: dict = {ctx: [None] * size for ctx in multisets(size, k - 1)}
+    for ms, value in items:
+        prev = None
+        for i, x in enumerate(ms):
+            if x != prev:  # slice once per run of equal entries
+                rows[ms[:i] + ms[i + 1:]][x] = value
+                prev = x
     ids: dict[tuple[int, ...], int] = {}
-    return ({ctx: ids.setdefault(tuple(table[insert_sorted(ctx, x)] for x in range(size)),
-                                 len(ids))
-             for ctx in multisets(size, k - 1)}, list(ids))
+    for ctx, row in rows.items():
+        if None in row:
+            raise KeyError(sorted_key(ctx + (row.index(None),)))
+        rows[ctx] = ids.setdefault(tuple(row), len(ids))
+    return rows, list(ids)
 
 
 def _image(masks: list[int], row: tuple[int, ...]) -> tuple[int, ...]:
@@ -282,12 +280,12 @@ class Translations:
     def f(self) -> tuple[dict, list]:
         """``({O: id}, rows)`` of f, each row a tuple of value masks."""
         return _translations(self.size, self.m,
-                             {ms: value.mask for ms, value in self.f_table.items()})
+                             ((ms, value.mask) for ms, value in self.f_table.items()))
 
     @cached_property
     def g(self) -> tuple[dict, list]:
         """``({O: id}, rows)`` of g, each row a tuple of carrier indices."""
-        return _translations(self.size, self.n, self.g_table)
+        return _translations(self.size, self.n, self.g_table.items())
 
     @cached_property
     def f_masks(self) -> list[int]:

@@ -134,7 +134,7 @@ def deserialize(text: str) -> HyperStructure:
 def load_structure(path: str | Path) -> HyperStructure:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise LoadError(f"cannot read {path}: {exc}") from exc
     return deserialize(text)
 

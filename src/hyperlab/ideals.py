@@ -130,7 +130,7 @@ class IdealLattice:
                 f"{len(self)}^{a.n} ideal tuples exceed the scan budget {limit}")
         table, steps = a.translations.g[0], []
         for k in range(a.n - 1, 0, -1):
-            table, step = _translations(a.size, k, table)
+            table, step = _translations(a.size, k, table.items())
             steps.insert(0, step)
         members = [q.indices() for q in self.sets]
         image = [[sum(1 << v for v in set(map(row.__getitem__, ideal))) for ideal in members]

@@ -12,7 +12,7 @@ import pytest
 import hyperlab as H
 from hyperlab import axioms, core
 from hyperlab.axioms import AXIOM_ORDER
-from hyperlab.core import insert_sorted
+from hyperlab.core import sorted_key
 
 from conftest import ORACLE_INPUTS, VALIDATE_IDS, mutated, oracle_structures, validate_inputs
 
@@ -192,7 +192,7 @@ def per_multiset_distrib(a):
     """The DISTRIB scan by the per-multiset scan of every g context's row."""
     for ctx in itertools.combinations_with_replacement(range(a.size), a.n - 1):
         failure = per_multiset_undistributed(
-            a, tuple(a.g_table[insert_sorted(ctx, x)] for x in range(a.size)))
+            a, tuple(a.g_table[sorted_key(ctx + (x,))] for x in range(a.size)))
         if failure is not None:
             ms, lhs, rhs = failure
             yield ((ctx, ms),
@@ -318,7 +318,7 @@ def direct_reversibility(a):
 def direct_solvability(a):
     """The QUASI_SOLVABLE scan by f-table lookups, one per (ctx, x)."""
     for ctx in itertools.combinations_with_replacement(range(a.size), a.m - 1):
-        reached = set().union(*(a.f_table[insert_sorted(ctx, x)] for x in range(a.size)))
+        reached = set().union(*(a.f_table[sorted_key(ctx + (x,))] for x in range(a.size)))
         if len(reached) < a.size:
             b = min(set(range(a.size)) - reached)
             yield ((ctx, b),
@@ -538,9 +538,10 @@ def test_valid_structure_runs_no_split_scan(monkeypatch, name):
         monkeypatch.setattr(axioms, fn, counted(getattr(axioms, fn)))
     real_translations = core._translations
 
-    def counted_translations(size, k, table):
-        builds.append("g" if table is a.g_table else "f")
-        return real_translations(size, k, table)
+    def counted_translations(size, k, items):
+        # g passes its table's items view, f a generator of mask pairs
+        builds.append("g" if getattr(items, "mapping", None) == a.g_table else "f")
+        return real_translations(size, k, items)
 
     monkeypatch.setattr(core, "_translations", counted_translations)
     assert H.check_krasner(a) == []

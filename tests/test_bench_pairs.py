@@ -1,8 +1,8 @@
-"""tools/bench_pairs.py checks its --workload specs before any run starts,
-keeps every run's round count, alternates the side traced first and gives
-each metric a verdict (no gain when the change fails a larger share of
-operations), shows progress by the first metric of
-BENCHMARK.json, and names the stderr of a run that fails."""
+"""tools/bench_pairs.py checks its --workload specs and the equal length of
+its checkout paths before any run starts, keeps every run's round count,
+alternates the side traced first and gives each metric a verdict (no gain
+when the change fails a larger share of operations), shows progress by the
+first metric of BENCHMARK.json, and names the stderr of a run that fails."""
 
 import importlib.util
 import json
@@ -34,6 +34,22 @@ def test_bad_workload_spec_is_an_argparse_error(tmp_path, capsys, monkeypatch, s
                           "--out", str(tmp_path / "out.json"), "--workload", spec])
     assert exc.value.code == 2
     assert "PAIRS >= 2" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
+# the second pair is given at equal length but resolves to unequal lengths
+@pytest.mark.parametrize("parent, change", [("parent", "chg"), ("a/../bcd", "ab/../cd")])
+def test_checkouts_of_unequal_path_length_are_an_argparse_error(tmp_path, capsys, monkeypatch,
+                                                                parent, change):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a benchmark run started")
+
+    monkeypatch.setattr(bench_pairs, "run", no_run)
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--parent", str(tmp_path / parent), "--change", str(tmp_path / change),
+                          "--out", str(tmp_path / "out.json"), "--workload", "theorems:2"])
+    assert exc.value.code == 2
+    assert "paths of equal length" in capsys.readouterr().err
     assert not (tmp_path / "out.json").exists()
 
 

@@ -2,19 +2,22 @@
 
 import itertools
 import math
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import hyperlab as H
+from hyperlab import core
 from hyperlab.core import (
     ElementSet,
     graded_multisets,
-    insert_sorted,
     multiset_splits,
     multisets,
     sorted_key,
 )
+
+from conftest import ORACLE_INPUTS, oracle_structures, validate_inputs
 
 
 class TestElementSet:
@@ -53,12 +56,6 @@ class TestElementSet:
 class TestMultisetHelpers:
     def test_sorted_key(self):
         assert sorted_key((3, 1, 2)) == (1, 2, 3)
-
-    def test_insert_sorted(self):
-        assert insert_sorted((1, 3), 2) == (1, 2, 3)
-        assert insert_sorted((1, 3), 0) == (0, 1, 3)
-        assert insert_sorted((1, 3), 5) == (1, 3, 5)
-        assert insert_sorted((), 5) == (5,)
 
     def test_multisets_count(self):
         got = list(multisets(4, 3))
@@ -230,3 +227,53 @@ def test_the_package_exports_its_public_imports():
     assert H.__all__ == sorted(H.__all__)
     assert {"enumerate_hyperideals", "is_prime", "load_structure", "set_product"} <= set(H.__all__)
     assert not {"axioms", "core", "types"} & set(H.__all__)
+
+
+def merged_translations(size, k, table):
+    """``core._translations`` by merging: each row entry read as
+    ``table[sorted_key(ctx + (x,))]``, the rows interned in context order."""
+    ids = {}
+    return ({ctx: ids.setdefault(tuple(table[sorted_key(ctx + (x,))] for x in range(size)),
+                                 len(ids))
+             for ctx in multisets(size, k - 1)}, list(ids))
+
+
+@pytest.mark.parametrize("key", (*ORACLE_INPUTS, "validate"))
+def test_translation_rows_equal_the_merge_route(key):
+    # every fixture of 16 elements or fewer (paper-3-3 has m = n = 3), paper-2-4
+    # squared, the random and validate mutants, and the lattice-product levels
+    structures = list(validate_inputs()) if key == "validate" else oracle_structures(key)
+    for a in structures:
+        t = a.translations
+        f_masks = {ms: value.mask for ms, value in a.f_table.items()}
+        assert t.f == merged_translations(a.size, a.m, f_masks)
+        assert t.g == merged_translations(a.size, a.n, a.g_table)
+        assert list(t.f[0]) == list(multisets(a.size, a.m - 1))
+        table = t.g[0]
+        for k in range(a.n - 1, 0, -1):
+            level = core._translations(a.size, k, table.items())
+            assert level == merged_translations(a.size, k, table)
+            table = level[0]
+
+
+def test_a_row_with_a_hole_raises():
+    # a structure built directly skips from_tables' totality check; a row
+    # with an unwritten entry would give the row tests a wrong answer
+    a = H.fixture("ring:Z4").structure
+    g_table = dict(a.g_table)
+    del g_table[1, 3]
+    holed = H.HyperStructure(a.m, a.n, a.names, a.f_table, g_table, a.zero, a.one)
+    with pytest.raises(KeyError) as exc:
+        holed.translations.g
+    assert exc.value.args == ((1, 3),)
+
+
+def test_long_runs_are_sliced_once_per_run():
+    # n = 1000 over two elements: 1,001 g keys of 1,000 entries, so slicing
+    # every key at every position would copy about 10^9 entries
+    f = {(0, 0): (0,), (0, 1): (1,), (1, 1): (0,)}
+    g = {ms: int(0 not in ms) for ms in multisets(2, 1000)}
+    a = H.HyperStructure.from_tables(2, 1000, ("0", "1"), f, g, zero=0, one=1)
+    start = time.perf_counter()
+    assert H.check_krasner(a) == []
+    assert time.perf_counter() - start < 1

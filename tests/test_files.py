@@ -40,6 +40,19 @@ def test_load_missing_file(tmp_path):
         H.load_structure(tmp_path / "absent.json")
 
 
+@pytest.mark.parametrize("command", [["validate"], ["ideals"],
+                                     ["classify", "--ideal", "0", "--mult-set", "1"]],
+                         ids=["validate", "ideals", "classify"])
+def test_a_document_that_is_not_utf8_exits_2(tmp_path, capsys, command):
+    # a UTF-16 byte-order mark, then the document
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + H.serialize(H.fixture("ring:Z4").structure).encode())
+    with pytest.raises(H.LoadError, match="cannot read"):
+        H.load_structure(path)
+    assert main([*command, str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {path}: ")
+
+
 def test_permuted_keys_fold():
     doc = doc_for("ring:Z4")
     value = doc["f"].pop("1,3")

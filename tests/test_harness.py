@@ -244,13 +244,14 @@ def test_a_corpus_prepares_each_fixture_and_cap_once(monkeypatch):
 
 def test_a_theorems_call_walks_the_g_table_once_per_structure_and_mask(monkeypatch, capsys):
     # the element-level predicates ask 2,333 times for the g-table entries
-    # valued in a mask, on 184 distinct (structure, mask) pairs
-    walks = []
+    # valued in a mask, on 184 distinct (structure, mask) pairs; each g-row
+    # build walks the table once more
+    walks, row_walks = [], []
 
     class Table(dict):
         def items(self):
-            walks.append(len(self))
-            return super().items()
+            walks.append(super().items())
+            return walks[-1]
 
     init = core.Translations.__init__
 
@@ -258,10 +259,19 @@ def test_a_theorems_call_walks_the_g_table_once_per_structure_and_mask(monkeypat
         init(self, a)
         self.g_table = Table(self.g_table)
 
+    real_translations = core._translations
+
+    def counted_translations(size, k, items):
+        if any(items is view for view in walks):
+            row_walks.append(items)
+        return real_translations(size, k, items)
+
     monkeypatch.setattr(core.Translations, "__init__", counting)
+    monkeypatch.setattr(core, "_translations", counted_translations)
     assert main(["theorems", "--json", "--corpus", ",".join(BENCH_CORPUS)]) == 0
     capsys.readouterr()
-    assert len(walks) == 184
+    assert len(walks) - len(row_walks) == 184
+    assert len(row_walks) == 31
     rows = H.fixture("ring:Z6").structure.translations
     assert isinstance(rows.support_rows(0b1), tuple)
     assert rows.support_rows(0b1) is rows.support_rows(0b1)

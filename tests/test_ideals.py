@@ -9,7 +9,7 @@ import pytest
 
 import hyperlab as H
 import hyperlab.ideals as ideals_module
-from hyperlab.core import insert_sorted, multisets, sorted_key
+from hyperlab.core import multisets, sorted_key
 from conftest import (
     ORACLE_INPUTS,
     SMALL_FIXTURES,
@@ -202,7 +202,7 @@ def test_a_row_reused_with_a_smaller_last_entry():
 
 def direct_is_hyperideal(a, q):
     """``is_hyperideal`` by direct table lookups, each absorption product
-    read as ``g_table[insert_sorted(ctx, x)]``: the oracle of the row route."""
+    read as ``g_table[sorted_key(ctx + (x,))]``: the oracle of the row route."""
     if a.zero not in q:
         return H.Verdict(False, note="does not contain zero")
     members = q.indices()
@@ -220,14 +220,14 @@ def direct_is_hyperideal(a, q):
             return H.Verdict(False, counterexample=(x,),
                              note=f"inverse {a.names[a.inverse_map[x]]} of {a.names[x]} missing")
     for ctx in itertools.combinations_with_replacement(members, a.m - 1):
-        reached = a.subset(y for x in members for y in a.f_table[insert_sorted(ctx, x)])
+        reached = a.subset(y for x in members for y in a.f_table[sorted_key(ctx + (x,))])
         if not q <= reached:
             missing = min(set(q) - set(reached))
             return H.Verdict(False, counterexample=ctx,
                              note=f"{a.names[missing]} unreachable inside the subset")
     for ctx in itertools.combinations_with_replacement(range(a.size), a.n - 1):
         for x in members:
-            got = a.g_table[insert_sorted(ctx, x)]
+            got = a.g_table[sorted_key(ctx + (x,))]
             if got not in q:
                 return H.Verdict(False, counterexample=ctx + (x,),
                                  note=f"absorption fails: product {a.names[got]} escapes")

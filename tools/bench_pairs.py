@@ -5,9 +5,9 @@ Usage, from anywhere:
     python3 tools/bench_pairs.py --parent DIR --change DIR --out BENCH_N.json \
         --workload theorems:10 --workload validate:4 --first-seed 11
 
-DIR is a checkout root (for example made with ``git archive``); give both
-checkouts paths of equal length, since the path length alone has moved
-``theorems`` timings.  Each pair runs ``perfbench/run.py`` once in each
+DIR is a checkout root (for example made with ``git archive``).  Both
+checkouts must resolve to paths of equal length, since the path length
+alone has moved ``theorems`` timings; unequal lengths are a usage error.  Each pair runs ``perfbench/run.py`` once in each
 checkout, on the same seed and ``--seconds``, the side that runs first
 alternating from pair to pair.  Afterwards one traced round per checkout
 (``--trace 1``) records every per-layer metric under ``traced``: the call
@@ -126,6 +126,9 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=20)
     args = parser.parse_args(argv)
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    if len(str(roots["parent"])) != len(str(roots["change"])):
+        parser.error(f"--parent and --change must resolve to paths of equal length, "
+                     f"got {roots['parent']} and {roots['change']}")
     metrics = json.loads((roots["change"] / "BENCHMARK.json").read_text())["end_to_end"]
     shown = metrics[0]["name"]  # the progress line shows the first end-to-end metric
 
